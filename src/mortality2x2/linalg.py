@@ -21,6 +21,14 @@ class RankError(ValueError):
     """A matrix does not have the rank an operation requires."""
 
 
+class InternalError(AssertionError):
+    """An exact internal check failed: a defect in the engine, never a verdict.
+
+    Raised explicitly rather than through `assert`, so that the checks
+    behind every verdict also run under `python -O`.
+    """
+
+
 def _rat(x: RatLike) -> Rat:
     return x if isinstance(x, Fraction) else Fraction(x)
 

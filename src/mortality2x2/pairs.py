@@ -6,34 +6,40 @@ s_k = v_l^T V^k u_r vanishes, and s obeys the order-2 recurrence
 s_{k+2} = -b s_{k+1} - c s_k driven by the characteristic polynomial
 x^2 + b x + c of V.
 
-When V has no power similar to the identity, s_k = 0 is equivalent to
-r_k = x where r_1 = 0, r_k = c/(b - r_{k-1}) (a Moebius iteration encoding
-V^k ~ V + r_k I) and x = -s_1/s_0.  The three spectral regimes of V are
-handled by:
+When some power of V is a scalar matrix, zeros of s repeat and one period
+is scanned.  Otherwise V^k ~ V + r_k I, where r_1 = 0 and
+r_k = c/(b - r_{k-1}) is a Moebius iteration, and s_k = 0 is equivalent to
+r_k = x with x = -s_1/s_0.  For d = b^2 - 4c != 0 both readings are one
+power equation rho^k = tau over Q(sqrt(d)): rho is the eigenvalue ratio and
+tau = -conj(a)/a for s_k = a l1^k + conj(a) l2^k.  Since N(rho) = 1, its
+rational part is the Chebyshev equation T_k(p) = q with p = rho.re, which
+has at most one solution off the periodic case.  That index is found with
+O(log k) exact doubling steps, O(log^2 k) when 2p is an integer and the
+index is bisected, and then confirmed:
 
-* positive discriminant -- exact iteration of r with a monotone-tail
-  refusal certificate anchored at the fixed points of the Moebius map,
-  accelerated by a high-precision logarithmic candidate;
+* negative discriminant -- |p| < 1, solved by `cheb_solve` and confirmed by
+  exact powering of rho in Q(sqrt(d));
+* positive discriminant -- |p| > 1, solved by the same index search and
+  confirmed by the doubling ladder r_{2j} = (r_j^2 - c)/(2 r_j - b),
+  r_{j+1} = c/(b - r_j), which is plain rational equality and so also holds
+  when d is a perfect square;
 * zero discriminant -- the closed form r_k = (k-1) b / (2k), solved
-  linearly;
-* negative discriminant -- an exact power equation rho^k = tau over
-  Q(sqrt(d)) with at most one solution, found through `cheb_solve`.
+  linearly.
 
 Every returned witness exponent is confirmed by an exact product check;
-every refusal is certified by exact arithmetic.  The only numerics in this
-module is the candidate accelerator, whose output is never trusted.
+every refusal is certified by exact arithmetic.  No floating point is used.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation, DivisionByZero, Overflow, localcontext
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
 from .linalg import (
     CharPoly,
+    InternalError,
     Mat2,
     RankError,
     Rat,
@@ -47,6 +53,7 @@ from .spectral import (
     Empty,
     Finite,
     QuadNum,
+    _cheb_index,
     cheb_solve,
     eigen_ratio,
     power_similar_identity,
@@ -177,62 +184,35 @@ def iter_recurrence(cp: CharPoly) -> Iterator[RecurrenceState]:
         k += 1
 
 
-_CANDIDATE_PRECISION = 60  # decimal digits, comfortably above 128 bits
-_CANDIDATE_CAP = 10_000
-_ITERATION_CAP = 1_000_000
+def _r_term(b: Rat, c: Rat, k: int) -> Rat:
+    """r_k for k >= 1 in O(log k) exact steps.
 
-
-def _to_decimal(x: Fraction) -> Decimal:
-    return Decimal(x.numerator) / Decimal(x.denominator)
-
-
-def _log_inverse_candidate(b: Rat, c: Rat, x: Rat) -> Optional[int]:
-    """Numeric inversion of the closed form for the Moebius iteration.
-
-    Acceleration only: the caller re-checks every candidate window exactly
-    and never trusts this value for a refusal.
+    From V^j ~ V + r_j I: (V + r I)^2 = (2r - b) V + (r^2 - c) I gives
+    r_{2j} = (r_j^2 - c)/(2 r_j - b), and one Moebius step gives r_{j+1}.
+    Requires that no power of V is similar to the identity.
     """
-    with localcontext() as ctx:
-        ctx.prec = _CANDIDATE_PRECISION
-        try:
-            bb = _to_decimal(b)
-            xx = _to_decimal(x)
-            sd = _to_decimal(b * b - 4 * c).sqrt()
-            num = (2 * xx - bb - sd) / (2 * xx - bb + sd)
-            base = (bb + sd) / (bb - sd)
-            if num == 0 or base == 0:
-                return None
-            k0 = abs(num).ln() / abs(base).ln()
-            k = int(k0.to_integral_value())
-        except (InvalidOperation, DivisionByZero, Overflow, ZeroDivisionError):
-            return None
-    if 1 <= k <= _CANDIDATE_CAP:
-        return k
-    return None
-
-
-def _cmp_to_sqrt(lhs: Rat, d: Rat, sign: int) -> int:
-    """Sign of lhs - sign*sqrt(d), exactly, for d >= 0 and sign in {-1, 1}."""
-    square_cmp = lhs * lhs - d
-    if sign > 0:
-        if lhs < 0:
-            return -1
-        return (square_cmp > 0) - (square_cmp < 0)
-    if lhs > 0:
-        return 1
-    return (square_cmp < 0) - (square_cmp > 0)
+    r = Fraction(0)  # r_1
+    for bit in bin(k)[3:]:
+        r = (r * r - c) / (2 * r - b)
+        if bit == "1":
+            r = r_next(b, c, r)
+            if r is None:
+                raise InternalError("Moebius step undefined: V has a periodic power")
+    return r
 
 
 def solve_r_eq_x(cp: CharPoly, x: Rat) -> Optional[int]:
     """The unique k >= 1 with r_k == x, or None.
 
     Precondition: no power of the underlying matrix is similar to the
-    identity (so the iteration is total and injective).  Refusals in the
-    positive-discriminant branch are certified by exact comparisons against
-    the fixed points of the Moebius map: once the two most recent iterates
-    both sit on the far side of x from the attracting fixed point, no later
-    iterate can reach x (within each parity class the iterates move
-    monotonically toward the attractor).
+    identity (so the iteration is total and injective).  With s0 = 1 and
+    s1 = -x the question is the power equation rho^k = tau of
+    `solve_ratio_power`.  For a positive discriminant its rational part,
+    the Chebyshev equation T_k(p) = q with |p| > 1, names the only candidate
+    k, which is accepted only if r_k == x exactly; a fixed point x of the
+    Moebius map (N(a) = 0, possible only for a square discriminant) is
+    never attained.  The zero discriminant uses the closed form, and the
+    negative one delegates to `solve_ratio_power`.
     """
     b, c = cp.b, cp.c
     if c == 0:
@@ -252,35 +232,17 @@ def solve_r_eq_x(cp: CharPoly, x: Rat) -> Optional[int]:
 
     if b == 0:
         raise ValueError("b = 0 with positive discriminant is periodic; handle via power_similar_identity")
-    if x * x - b * x + c == 0:
-        return None  # x is a fixed point of the Moebius map, never attained
-
-    # Fixed points are (b +- sqrt(disc))/2; the attractor is the one of
-    # smaller magnitude, which is (b - sqrt(disc))/2 iff b > 0.
-    attract_sign = -1 if b > 0 else 1
-    x_side = _cmp_to_sqrt(2 * x - b, disc, attract_sign)
-
-    window_end = 0
-    candidate = _log_inverse_candidate(b, c, x)
-    if candidate is not None:
-        window_end = candidate + 2
-
-    r = Fraction(0)
-    prev_side = 0
-    k = 1
-    while k <= _ITERATION_CAP:
-        if r == x:
-            return k
-        side = 1 if x > r else -1
-        if k > max(1, window_end) and prev_side == x_side and side == x_side:
-            return None
-        prev_side = side
-        nxt = r_next(b, c, r)
-        if nxt is None:
-            raise ValueError("iteration became undefined: matrix has a periodic power")
-        r = nxt
-        k += 1
-    raise RuntimeError("iteration cap exceeded; inputs violate the non-periodicity precondition")
+    # The power equation of `solve_ratio_power` with s0 = 1, s1 = -x has
+    # N(a) = (d - z^2)/(4d) for z = 2x - b, and only the rational part of
+    # tau = -conj(a)^2/N(a) is needed: 2 tau.re = 2(z^2 + d)/(z^2 - d),
+    # written 2 + 4d/(z^2 - d) so that every gcd has a small operand.
+    z_sq = (2 * x - b) ** 2
+    if z_sq == disc:
+        return None  # N(a) = 0: x is a fixed point of the Moebius map, never attained
+    k = _cheb_index(2 * eigen_ratio(cp).re, 2 + 4 * disc / (z_sq - disc))
+    if k is None or k < 1 or _r_term(b, c, k) != x:
+        return None
+    return k
 
 
 def solve_ratio_power(cp: CharPoly, s0: Rat, s1: Rat) -> Optional[int]:
@@ -308,11 +270,13 @@ def solve_ratio_power(cp: CharPoly, s0: Rat, s1: Rat) -> Optional[int]:
     a_norm = a.norm()  # positive: d < 0 and a != 0 because s0 != 0
     conj_sq = a.conjugate() * a.conjugate()
     tau = QuadNum(-conj_sq.re / a_norm, -conj_sq.im / a_norm, disc)
-    assert tau.norm() == 1
+    if tau.norm() != 1:
+        raise InternalError("the power target must have unit norm")
     answer = cheb_solve(rho.re, tau.re)
     if isinstance(answer, Empty):
         return None
-    assert isinstance(answer, Finite), "non-integer doubled cosine cannot be periodic"
+    if not isinstance(answer, Finite):
+        raise InternalError("non-integer doubled cosine cannot be periodic")
     for k in answer.solutions:
         if k >= 1 and quad_pow(rho, k) == tau:
             return k
@@ -355,5 +319,6 @@ def decide_pair(n_left: Mat2, v: Mat2, n_right: Mat2) -> PairVerdict:
 
 def _checked_witness(problem: PairProblem, k: int) -> Witness:
     product = problem.n_left * mat_pow(problem.v, k) * problem.n_right
-    assert product.is_zero(), "witness exponents must verify exactly"
+    if not product.is_zero():
+        raise InternalError(f"witness exponent {k} fails the exact product check")
     return Witness(k)

@@ -7,7 +7,8 @@ Three pieces live here:
 * ``cheb_solve`` -- given rational p, q in [-1, 1], the exact solution set of
   T_n(p) = q over nonnegative integers n, where T_n is the degree-n Chebyshev
   polynomial of the first kind (equivalently cos(n*theta) = q when
-  cos(theta) = p).
+  cos(theta) = p).  Its index search also serves |p| > 1, the rational part
+  of the real power equation of the exponent engine.
 * ``power_similar_identity`` -- the minimal m >= 1 such that A^m is a nonzero
   rational multiple of the identity, when one exists.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .linalg import CharPoly, Mat2, Rat, RatLike, _rat, char_poly, mat_pow
+from .linalg import CharPoly, InternalError, Mat2, Rat, RatLike, _rat, char_poly, mat_pow
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,31 +135,107 @@ def cheb_solve(p: Rat, q: Rat) -> ChebyshevAnswer:
     period dividing 12; one period is enumerated.  Otherwise, with m > 1 the
     lowest-terms denominator of 2p, the denominator of t_n is exactly m^n,
     which pins down a single candidate n from the denominator of 2q; the
-    candidate is confirmed by exact iteration.
+    candidate is confirmed exactly.  Both steps take O(log n) big-integer
+    operations.
     """
     p, q = _rat(p), _rat(q)
     if abs(p) > 1 or abs(q) > 1:
         raise ValueError("both query values must lie in [-1, 1]")
     tp = 2 * p
     tq = 2 * q
-    m = tp.denominator
-    if m == 1:
+    if tp.denominator == 1:
         return _solve_periodic(tp, tq)
-
-    den = tq.denominator
-    n = 0
-    while den > 1 and den % m == 0:
-        den //= m
-        n += 1
-    if den != 1:
+    n = _cheb_index(tp, tq)
+    if n is None:
         return Empty()
-    t_prev, t_cur = Fraction(2), tp
-    for _ in range(n):
-        t_prev, t_cur = t_cur, tp * t_cur - t_prev
-    # after the loop t_prev == t_n
-    if t_prev == tq:
-        return Finite((n,))
-    return Empty()
+    return Finite((n,))
+
+
+def _cheb_index(tp: Fraction, tq: Fraction) -> Optional[int]:
+    """The n >= 0 with t_n == tq on the track of t_1 = tp, or None.
+
+    The track must not repeat, which holds in two cases, each giving at most
+    one candidate n:
+
+    * m = den(tp) > 1: writing tp = a/m, the numerator of t_n stays prime to
+      m (it is a^n mod any prime of m), so den(t_n) = m^n exactly, whatever
+      the size of tp; the candidate is the exponent of den(tq) as a power
+      of m.
+    * integer tp with |tp| > 2: |t_{n+1}| >= |tp| |t_n| - |t_{n-1}| > |t_n|,
+      so the candidate is the largest n with |t_n| <= |tq|, found by
+      galloping over n = 2^i (t_{2n} = t_n^2 - 2) and bisecting.
+
+    The candidate is confirmed by one exact evaluation of t_n.
+    """
+    a, m = tp.numerator, tp.denominator
+    if m > 1:
+        n = _power_exponent(tq.denominator, m)
+        if n is None:
+            return None
+    else:
+        if abs(a) <= 2:
+            raise ValueError("an integer doubled cosine in [-2, 2] gives a periodic track")
+        if tq.denominator != 1 or abs(tq) < 2:
+            return None
+        bound = abs(tq.numerator)
+        lo, hi, t_hi = 0, 1, a
+        while abs(t_hi) <= bound:
+            lo, hi, t_hi = hi, 2 * hi, t_hi * t_hi - 2
+        # |t_lo| <= |tq| < |t_hi|
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if abs(_cheb_ladder(a, 1, mid)[0]) <= bound:
+                lo = mid
+            else:
+                hi = mid
+        n = lo
+    num, den = _cheb_ladder(a, m, n)
+    if num * tq.denominator == tq.numerator * den:
+        return n
+    return None
+
+
+def _power_exponent(value: int, base: int) -> Optional[int]:
+    """The n >= 0 with base**n == value, or None; base >= 2, value >= 1.
+
+    Greedy descent over the squares base^(2^i) finds the largest n with
+    base**n <= value using O(log n) multiplications; the only division is
+    one remainder by the base.
+    """
+    if value % base:
+        return 0 if value == 1 else None
+    squares = []
+    square = base
+    while square <= value:
+        squares.append(square)
+        square *= square
+    n, power = 0, 1
+    for i in reversed(range(len(squares))):
+        trial = power * squares[i]
+        if trial <= value:
+            n, power = n + (1 << i), trial
+    if power == value:
+        return n
+    return None
+
+
+def _cheb_ladder(a: int, m: int, n: int) -> tuple[int, int]:
+    """(A, m^n) with t_n = A / m^n on the track of t_1 = a/m, in O(log n) steps.
+
+    Walks the pair (t_j, t_{j+1}) down the bits of n with the doubling
+    identities t_{2j} = t_j^2 - 2 and t_{2j+1} = t_j t_{j+1} - t_1, kept as
+    integer numerators over m^j and m^(j+1) so that no gcd is ever taken.
+    """
+    lo, hi, scale = 2, a, 1  # t_j = lo / m^j, t_{j+1} = hi / m^(j+1), scale = m^j
+    m_sq = m * m
+    for bit in bin(n)[2:]:
+        scale_sq = scale * scale
+        cross = lo * hi - a * scale_sq
+        if bit == "1":
+            lo, hi, scale = cross, hi * hi - 2 * m_sq * scale_sq, scale_sq * m
+        else:
+            lo, hi, scale = lo * lo - 2 * scale_sq, cross, scale_sq
+    return lo, scale
 
 
 def _solve_periodic(tp: Fraction, tq: Fraction) -> ChebyshevAnswer:
@@ -169,7 +246,8 @@ def _solve_periodic(tp: Fraction, tq: Fraction) -> ChebyshevAnswer:
         if (track[k], track[k + 1]) == (track[0], track[1]):
             period = k
             break
-    assert period is not None, "integer doubled cosine must have period <= 12"
+    if period is None:
+        raise InternalError("integer doubled cosine must have period <= 12")
     residues = tuple(n for n in range(period) if track[n] == tq)
     if not residues:
         return Empty()
@@ -239,5 +317,6 @@ def power_similar_identity(a: Mat2) -> Optional[PeriodResult]:
             return None
     power = mat_pow(a, order)
     scalar = power.e00
-    assert power.is_scalar() and scalar != 0, "order classification is exact"
+    if not power.is_scalar() or scalar == 0:
+        raise InternalError("order classification is exact")
     return PeriodResult(order, scalar)

@@ -3,30 +3,36 @@ pair decision with its certificates."""
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from mortality2x2 import (
     CharPoly,
+    InternalError,
     Mat2,
     NoExponent,
     RankError,
     RefusalReason,
     ScalarRecurrence,
+    Vec2,
     Witness,
     char_poly,
     decide_pair,
     is_scalar_multiple,
     iter_recurrence,
     mat_pow,
+    outer,
     pair_problem,
     r_next,
     solve_r_eq_x,
     solve_ratio_power,
 )
+from mortality2x2 import pairs
 from helpers import (
     REGIMES,
     plant_pair,
+    r_value,
     rand_invertible_int,
     rand_nonperiodic_invertible,
     rand_rank_one,
@@ -96,7 +102,7 @@ def test_solve_r_eq_x_double_root_misses():
     # closed form (k-1) b / (2k): non-integer or negative solutions refuse
     cp = CharPoly(-2, 1)
     assert solve_r_eq_x(cp, Fraction(-1, 3)) is None
-    assert solve_r_eq_x(cp, Fraction(-1)) is None  # would need k = 1/2... k = b/(b-2x) = -2/0? no: -2/(-2+2) undefined -> limit
+    assert solve_r_eq_x(cp, Fraction(-1)) is None  # x = b/2 is the limit of r_k, never attained
     assert solve_r_eq_x(cp, Fraction(17)) is None
 
 
@@ -132,6 +138,39 @@ def test_solve_r_eq_x_certified_absences_do_not_lie():
             assert 1 <= answer
             if answer <= 64:
                 assert x in reached
+
+
+def _is_square(q: Fraction) -> bool:
+    return isqrt(q.numerator) ** 2 == q.numerator and isqrt(q.denominator) ** 2 == q.denominator
+
+
+def test_solve_r_eq_x_positive_discriminant_matches_iteration():
+    # r_k is found at its index for k up to 200, and values next to it are
+    # refused, for square and non-square discriminants alike
+    rng = random.Random(3141)
+    squares = []
+    while len(squares) < 40:
+        cp = char_poly(rand_nonperiodic_invertible(rng))
+        if cp.discriminant <= 0:
+            continue
+        squares.append(_is_square(cp.discriminant))
+        values = [state.r for state, _ in zip(iter_recurrence(cp), range(200))]
+        for k_star in [1, 2, 3, 200] + rng.sample(range(4, 200), 12):
+            x = values[k_star - 1]
+            assert solve_r_eq_x(cp, x) == k_star
+            near = x + Fraction(1, rng.randint(2, 9) * x.denominator)
+            answer = solve_r_eq_x(cp, near)
+            if near in values:
+                assert answer == values.index(near) + 1
+            else:
+                assert answer is None or (answer > 200 and r_value(cp, answer) == near)
+        # r_{-j} (V^-j ~ V + r_{-j} I) solves the same Chebyshev equation as
+        # an r_j, through rho^j = 1/tau; only the exact check refuses it
+        x = cp.b  # r_{-1}
+        for _ in range(30):
+            assert solve_r_eq_x(cp, x) is None
+            x = cp.b - cp.c / x
+    assert any(squares) and not all(squares)
 
 
 def test_solve_r_eq_x_rejects_periodic_shapes():
@@ -308,3 +347,55 @@ def test_planted_witness_recovery_all_regimes():
             n = plant_pair(v, k_star)
             verdict = decide_pair(n, v, n)
             assert verdict == Witness(k_star), (name, k_star, verdict)
+
+
+# Non-periodic representatives beyond REGIMES: both index searches of the
+# positive discriminant (fractional and integer 2p = 2 Re(rho)), square and
+# non-square discriminants, eigenvalues of equal and opposite signs.
+NONPERIODIC = {
+    "pos_square_same_sign": mat([[2, 0], [1, 1]]),
+    "pos_square_opposite_sign": mat([[3, 0], [1, -1]]),
+    "pos_nonsquare_integer_2p": mat([[2, 1], [1, 1]]),
+    "pos_nonsquare_integer_2p_opposite_sign": mat([[1, 1], [1, 0]]),
+    "pos_nonsquare_fractional_2p": mat([[1, 2], [3, 1]]),
+    "zero": mat([[1, 1], [0, 1]]),
+    "zero_scaled": mat([[2, 1], [0, 2]]),
+    "negative": mat([[1, -2], [1, 0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NONPERIODIC))
+def test_decide_pair_planted_deep_exponent(name):
+    # N = u w^T with w orthogonal to V^k u vanishes first at k; the planting
+    # uses only mat_pow, not the exponent solvers
+    v, k = NONPERIODIC[name], 10_000
+    power = mat_pow(v, k)
+    for u in (Vec2(1, 0), Vec2(0, 1), Vec2(1, 1)):
+        w = power.mul_vec(u).perp()
+        if w.dot(u) != 0:
+            break
+    n = outer(u, w)
+    assert decide_pair(n, v, n) == Witness(k)
+
+
+def test_decide_pair_refuses_fixed_point_target():
+    # u an eigenvector of V makes x = -s1/s0 a fixed point of the Moebius
+    # map (N(a) = 0 with a square discriminant): s_k = lambda^k s0 != 0
+    v = mat([[2, 0], [1, 1]])  # eigenvectors (1, 1) and (0, 1)
+    for u in (Vec2(1, 1), Vec2(0, 1)):
+        n = outer(u, Vec2(1, 2))
+        problem = pair_problem(n, v, n)
+        assert problem.target in (Fraction(-1), Fraction(-2))
+        assert decide_pair(n, v, n) == NoExponent(RefusalReason.ZERO_NEVER_HIT_MONOTONE)
+        assert scan_pair_zeros(n, v, n, 64) == set()
+
+
+def test_witness_check_survives_a_wrong_power(monkeypatch):
+    # the exact product check is not an assert: a wrong V^k must raise
+    n = mat([[7, -8], [0, 0]])
+    v = mat([[2, 0], [1, 1]])
+    assert decide_pair(n, v, n) == Witness(3)
+    real_pow = pairs.mat_pow
+    monkeypatch.setattr(pairs, "mat_pow", lambda m, k: real_pow(m, k + 1))
+    with pytest.raises(InternalError):
+        decide_pair(n, v, n)

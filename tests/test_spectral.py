@@ -23,6 +23,7 @@ from mortality2x2 import (
     power_similar_identity,
     quad_pow,
 )
+from mortality2x2.spectral import _cheb_index, _cheb_ladder
 from helpers import answer_set, brute_force_cheb, doubled_cosine_track, rand_invertible_int, rand_rat
 
 
@@ -89,6 +90,41 @@ def test_denominator_growth_law():
         track = doubled_cosine_track(p, 20)
         for n in range(1, 21):
             assert track[n].denominator == m**n
+
+
+def _ladder_points(rng):
+    """Values of p inside and outside [-1, 1], with integer and fractional 2p."""
+    inside = [clamp(rand_rat(rng, 8, 8)) for _ in range(40)]
+    outside = [rand_rat(rng, 40, 7) for _ in range(60)]
+    outside = [p for p in outside if abs(p) > 1]
+    integral = [Fraction(n, 2) for n in (-7, -5, -4, -3, 3, 4, 5, 9)]
+    return inside + outside + integral
+
+
+def test_cheb_ladder_matches_track():
+    rng = random.Random(60)
+    for p in _ladder_points(rng):
+        tp = 2 * p
+        track = doubled_cosine_track(p, 60)
+        for n in range(61):
+            num, den = _cheb_ladder(tp.numerator, tp.denominator, n)
+            assert Fraction(num, den) == track[n], (p, n)
+            assert den == tp.denominator**n
+
+
+def test_cheb_index_outside_unit_interval():
+    # |p| > 1: the track never repeats, so each value has at most one index
+    rng = random.Random(61)
+    for p in _ladder_points(rng):
+        if abs(p) <= 1:
+            continue
+        track = doubled_cosine_track(p, 40)
+        for n, t in enumerate(track):
+            assert _cheb_index(2 * p, t) == n
+        for _ in range(5):
+            t = rand_rat(rng, 50, 9) + rng.choice(track)
+            expected = track.index(t) if t in track else None
+            assert _cheb_index(2 * p, t) == expected, (p, t)
 
 
 # -------------------------------------------------- power_similar_identity
