@@ -8,7 +8,12 @@ Complete whenever the set contains at most one invertible matrix:
   ordered pairs are checked;
 * with exactly one invertible member V, every ordered pair of singular
   members (N_i, N_j) is reduced to the exponent question
-  N_i V^k N_j = 0 and handed to `decide_pair`;
+  N_i V^k N_j = 0 and handed to `decide_pair`.  The work is hoisted out of
+  the n^2 pair loop: V's spectral analysis (`analyze_inner`: the
+  invertibility check, characteristic polynomial, periodicity and
+  eigenvalue ratio) is done once per call, each member's rank check and
+  factorization (`endpoint`) once per member, and only the two dot
+  products, the scalar solve and any witness check once per pair;
 * with two or more invertible members the problem is out of scope; a
   bounded product search still runs and may prove mortality, otherwise
   the verdict is Unknown.
@@ -25,7 +30,7 @@ from itertools import combinations
 from typing import Iterable, Optional, Union
 
 from .linalg import Mat2, RankError, factor_rank_one, outer, rank
-from .pairs import Witness, decide_pair
+from .pairs import Prepared, Witness, analyze_inner, decide_pair, endpoint
 
 Word = tuple[int, ...]
 
@@ -108,8 +113,9 @@ def decide(instance: Instance, oracle_bound: int = 8) -> Verdict:
         if m.is_zero():
             return Mortal((i,), MORTAL_ZERO_MEMBER)
 
-    invertibles = instance.invertible_indices
-    singulars = instance.singular_indices
+    dets = [m.det() for m in mats]
+    invertibles = tuple(i for i, det in enumerate(dets) if det != 0)
+    singulars = tuple(i for i, det in enumerate(dets) if det == 0)
 
     if not invertibles:
         for i in range(len(mats)):
@@ -131,9 +137,11 @@ def decide(instance: Instance, oracle_bound: int = 8) -> Verdict:
 
     v_index = invertibles[0]
     v = mats[v_index]
+    inner = analyze_inner(v)
+    ends = {i: endpoint(mats[i], v) for i in singulars}
     for i in singulars:
         for j in singulars:
-            verdict = decide_pair(mats[i], v, mats[j])
+            verdict = decide_pair(mats[i], v, mats[j], Prepared(inner, ends[i], ends[j]))
             if isinstance(verdict, Witness):
                 word = (i,) + (v_index,) * verdict.k + (j,)
                 return Mortal(word, MORTAL_PAIR_EXPONENT, exponent_witness=(i, verdict.k, j))

@@ -8,7 +8,7 @@ point is used anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional, Union
@@ -149,18 +149,19 @@ def outer(u: Vec2, v: Vec2) -> Mat2:
 
 @dataclass(frozen=True, slots=True)
 class CharPoly:
-    """Coefficients of the characteristic polynomial x^2 + b x + c."""
+    """Coefficients of the characteristic polynomial x^2 + b x + c.
+
+    The discriminant b^2 - 4c is derived once, at construction.
+    """
 
     b: Rat
     c: Rat
+    discriminant: Rat = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "b", _rat(self.b))
         object.__setattr__(self, "c", _rat(self.c))
-
-    @property
-    def discriminant(self) -> Rat:
-        return self.b * self.b - 4 * self.c
+        object.__setattr__(self, "discriminant", self.b * self.b - 4 * self.c)
 
 
 def rank(m: Mat2) -> int:

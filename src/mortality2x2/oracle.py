@@ -23,7 +23,7 @@ from math import gcd
 from typing import Optional
 
 from .decider import Immortal, Instance, Mortal, Unknown, Word, decide, verify_witness
-from .linalg import Mat2, Vec2, outer
+from .linalg import InternalError, Mat2, Vec2, outer
 
 IntMat = tuple[int, int, int, int]
 
@@ -206,8 +206,8 @@ def _check_one(
     elif isinstance(verdict, Immortal):
         kind = "immortal"
         contradiction = word is not None
-    else:
-        assert isinstance(verdict, Unknown)
+    elif not isinstance(verdict, Unknown):
+        raise InternalError(f"decide returned a non-verdict: {verdict!r}")
     return (kind, witness_failure, contradiction, miss, unconfirmed, t1 - t0, t2 - t1)
 
 

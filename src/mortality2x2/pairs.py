@@ -26,6 +26,16 @@ index is bisected, and then confirmed:
 * zero discriminant -- the closed form r_k = (k-1) b / (2k), solved
   linearly.
 
+The work is split by what it depends on.  `analyze_inner` does everything
+that depends on V alone -- the invertibility check, the characteristic
+polynomial, the periodicity test and the eigenvalue ratio rho -- and
+`endpoint` does the rank check and the factorization N = u v^T of one
+singular member together with V u.  Per pair only s0 = v_l . u_r,
+s1 = v_l . (V u_r), the scalar solve and the witness product remain, so a
+caller with many pairs over one V (`decider.decide`) builds the first two
+once and passes them in; `decide_pair` on bare matrices builds them itself
+and takes the same path.
+
 Every returned witness exponent is confirmed by an exact product check;
 every refusal is certified by exact arithmetic.  No floating point is used.
 """
@@ -35,7 +45,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .linalg import (
     CharPoly,
@@ -43,6 +53,7 @@ from .linalg import (
     Mat2,
     RankError,
     Rat,
+    Vec2,
     char_poly,
     factor_rank_one,
     mat_pow,
@@ -52,6 +63,7 @@ from .spectral import (
     NIVEN_COSINES,
     Empty,
     Finite,
+    PeriodResult,
     QuadNum,
     _cheb_index,
     cheb_solve,
@@ -129,33 +141,91 @@ class RecurrenceState:
 
 
 @dataclass(frozen=True)
+class InnerAnalysis:
+    """What every pair question over one invertible V shares.
+
+    `periodic` is the minimal m with V^m a scalar matrix, when one exists;
+    `rho` is the eigenvalue ratio over Q(sqrt(d)), set only off the
+    periodic case and for d != 0, where the power equation needs it.
+    """
+
+    char: CharPoly
+    periodic: Optional[PeriodResult]
+    rho: Optional[QuadNum]
+
+
+def analyze_inner(v: Mat2) -> InnerAnalysis:
+    """Check that V is invertible and derive its spectral data once."""
+    if v.det() == 0:
+        raise ValueError("inner matrix must be invertible")
+    cp = char_poly(v)
+    periodic = power_similar_identity(v, cp)
+    rho = eigen_ratio(cp) if periodic is None and cp.discriminant != 0 else None
+    return InnerAnalysis(cp, periodic, rho)
+
+
+@dataclass(frozen=True)
+class Endpoint:
+    """A rank-1 member N = u w^T with V u, ready to close either end of a pair.
+
+    The left end of a pair uses the row factor w, the right end u and V u.
+    """
+
+    u: Vec2
+    w: Vec2
+    vu: Vec2
+
+
+def endpoint(n: Mat2, v: Mat2) -> Endpoint:
+    """Check that N has rank 1 and factor it once for every pair it ends."""
+    if rank(n) != 1:
+        raise RankError("pair endpoint must have rank 1")
+    u, w = factor_rank_one(n)
+    return Endpoint(u, w, v.mul_vec(u))
+
+
+class Prepared(NamedTuple):
+    """The hoisted inputs of one pair: V's analysis and both endpoints."""
+
+    inner: InnerAnalysis
+    left: Endpoint
+    right: Endpoint
+
+
+@dataclass(frozen=True)
 class PairProblem:
     """One exponent question with its derived scalar data."""
 
     n_left: Mat2
     v: Mat2
     n_right: Mat2
-    char: CharPoly
+    inner: InnerAnalysis
     recurrence: ScalarRecurrence
-    target: Optional[Rat]  # -s1/s0 when s0 != 0
+
+    @property
+    def target(self) -> Optional[Rat]:
+        """x = -s1/s0, the value r_k must take; None when s0 == 0."""
+        s0 = self.recurrence.s0
+        return None if s0 == 0 else -self.recurrence.s1 / s0
 
 
-def pair_problem(n_left: Mat2, v: Mat2, n_right: Mat2) -> PairProblem:
-    """Validate the inputs and build the scalar reduction."""
-    if rank(n_left) != 1:
-        raise RankError("left factor must have rank 1")
-    if rank(n_right) != 1:
-        raise RankError("right factor must have rank 1")
-    if v.det() == 0:
-        raise ValueError("inner matrix must be invertible")
-    _, v_left = factor_rank_one(n_left)
-    u_right, _ = factor_rank_one(n_right)
-    s0 = v_left.dot(u_right)
-    s1 = v_left.dot(v.mul_vec(u_right))
-    cp = char_poly(v)
-    recurrence = ScalarRecurrence(cp.b, cp.c, s0, s1)
-    target = None if s0 == 0 else -s1 / s0
-    return PairProblem(n_left, v, n_right, cp, recurrence, target)
+def pair_problem(
+    n_left: Mat2, v: Mat2, n_right: Mat2, prepared: Optional[Prepared] = None
+) -> PairProblem:
+    """Build the scalar reduction, from `prepared` when the caller has it.
+
+    `prepared` must hold `analyze_inner(v)`, `endpoint(n_left, v)` and
+    `endpoint(n_right, v)`; without it they are built here, which validates
+    the inputs.
+    """
+    if prepared is None:
+        left, right = endpoint(n_left, v), endpoint(n_right, v)
+        prepared = Prepared(analyze_inner(v), left, right)
+    inner, left, right = prepared
+    s0 = left.w.dot(right.u)
+    s1 = left.w.dot(right.vu)
+    cp = inner.char
+    return PairProblem(n_left, v, n_right, inner, ScalarRecurrence(cp.b, cp.c, s0, s1))
 
 
 def r_next(b: Rat, c: Rat, r_prev: Rat) -> Optional[Rat]:
@@ -201,7 +271,7 @@ def _r_term(b: Rat, c: Rat, k: int) -> Rat:
     return r
 
 
-def solve_r_eq_x(cp: CharPoly, x: Rat) -> Optional[int]:
+def solve_r_eq_x(cp: CharPoly, x: Rat, rho: Optional[QuadNum] = None) -> Optional[int]:
     """The unique k >= 1 with r_k == x, or None.
 
     Precondition: no power of the underlying matrix is similar to the
@@ -212,7 +282,8 @@ def solve_r_eq_x(cp: CharPoly, x: Rat) -> Optional[int]:
     k, which is accepted only if r_k == x exactly; a fixed point x of the
     Moebius map (N(a) = 0, possible only for a square discriminant) is
     never attained.  The zero discriminant uses the closed form, and the
-    negative one delegates to `solve_ratio_power`.
+    negative one delegates to `solve_ratio_power`.  `rho`, if given, is
+    `eigen_ratio(cp)`, computed once by a caller with many targets.
     """
     b, c = cp.b, cp.c
     if c == 0:
@@ -220,7 +291,7 @@ def solve_r_eq_x(cp: CharPoly, x: Rat) -> Optional[int]:
     x = Fraction(x)
     disc = cp.discriminant
     if disc < 0:
-        return solve_ratio_power(cp, Fraction(1), -x)
+        return solve_ratio_power(cp, Fraction(1), -x, rho)
     if disc == 0:
         # closed form r_k = (k-1) b / (2k); b != 0 since c = b^2/4 != 0
         if b == 2 * x:
@@ -239,13 +310,17 @@ def solve_r_eq_x(cp: CharPoly, x: Rat) -> Optional[int]:
     z_sq = (2 * x - b) ** 2
     if z_sq == disc:
         return None  # N(a) = 0: x is a fixed point of the Moebius map, never attained
-    k = _cheb_index(2 * eigen_ratio(cp).re, 2 + 4 * disc / (z_sq - disc))
+    if rho is None:
+        rho = eigen_ratio(cp)
+    k = _cheb_index(2 * rho.re, 2 + 4 * disc / (z_sq - disc))
     if k is None or k < 1 or _r_term(b, c, k) != x:
         return None
     return k
 
 
-def solve_ratio_power(cp: CharPoly, s0: Rat, s1: Rat) -> Optional[int]:
+def solve_ratio_power(
+    cp: CharPoly, s0: Rat, s1: Rat, rho: Optional[QuadNum] = None
+) -> Optional[int]:
     """Smallest k >= 1 with s_k == 0 in the complex-eigenvalue regime, or None.
 
     With eigenvalues l1, l2 (conjugates over d = b^2 - 4c < 0), writing
@@ -253,7 +328,7 @@ def solve_ratio_power(cp: CharPoly, s0: Rat, s1: Rat) -> Optional[int]:
     rho = l1/l2 and tau = -conj(a)/a, both exact over Q(sqrt(d)).  Since rho
     is not a root of unity here, at most one k exists; it is read off from
     the rational cosine equation via `cheb_solve` and confirmed by exact
-    powering.
+    powering.  `rho`, if given, is `eigen_ratio(cp)`.
     """
     b, c = cp.b, cp.c
     disc = cp.discriminant
@@ -261,7 +336,8 @@ def solve_ratio_power(cp: CharPoly, s0: Rat, s1: Rat) -> Optional[int]:
         raise ValueError("requires complex eigenvalues (negative discriminant)")
     if s0 == 0:
         raise ValueError("s0 must be nonzero (handled upstream as an immediate witness)")
-    rho = eigen_ratio(cp)
+    if rho is None:
+        rho = eigen_ratio(cp)
     if rho.re in NIVEN_COSINES:
         raise ValueError("eigenvalue ratio is a root of unity; periodic case must be handled by the caller")
     s0, s1 = Fraction(s0), Fraction(s1)
@@ -283,31 +359,35 @@ def solve_ratio_power(cp: CharPoly, s0: Rat, s1: Rat) -> Optional[int]:
     return None
 
 
-def decide_pair(n_left: Mat2, v: Mat2, n_right: Mat2) -> PairVerdict:
+def decide_pair(
+    n_left: Mat2, v: Mat2, n_right: Mat2, prepared: Optional[Prepared] = None
+) -> PairVerdict:
     """Witness with the minimal exponent, or a certified refusal.
 
     k = 0 (the bare product N_left * N_right) is an admissible witness.
+    `prepared` carries the hoisted per-V and per-endpoint data (see
+    `pair_problem`); without it the inputs are analyzed here.
     """
-    problem = pair_problem(n_left, v, n_right)
+    problem = pair_problem(n_left, v, n_right, prepared)
     recurrence = problem.recurrence
     if recurrence.s0 == 0:
         return _checked_witness(problem, 0)
 
-    periodic = power_similar_identity(v)
-    if periodic is not None:
+    inner = problem.inner
+    if inner.periodic is not None:
         # V^m = scalar * I makes zeros of s repeat with period m: scan one period.
-        hit = recurrence.first_zero(1, periodic.order)
+        hit = recurrence.first_zero(1, inner.periodic.order)
         if hit is not None:
             return _checked_witness(problem, hit)
         return NoExponent(RefusalReason.PERIODIC_SCAN_EXHAUSTED)
 
-    cp = problem.char
+    cp = inner.char
     disc = cp.discriminant
     if disc < 0:
-        k = solve_ratio_power(cp, recurrence.s0, recurrence.s1)
+        k = solve_ratio_power(cp, recurrence.s0, recurrence.s1, inner.rho)
         reason = RefusalReason.RATIO_EQUATION_UNSATISFIABLE
     elif disc > 0:
-        k = solve_r_eq_x(cp, problem.target)
+        k = solve_r_eq_x(cp, problem.target, inner.rho)
         reason = RefusalReason.ZERO_NEVER_HIT_MONOTONE
     else:
         k = solve_r_eq_x(cp, problem.target)

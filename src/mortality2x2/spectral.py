@@ -289,20 +289,22 @@ def eigen_ratio(cp: CharPoly) -> QuadNum:
     return QuadNum((cp.b * cp.b - two_c) / two_c, cp.b / two_c, cp.discriminant)
 
 
-def power_similar_identity(a: Mat2) -> Optional[PeriodResult]:
+def power_similar_identity(a: Mat2, cp: Optional[CharPoly] = None) -> Optional[PeriodResult]:
     """Minimal m >= 1 with A^m a nonzero multiple of I, or None.
 
     Branches: scalar matrices have m = 1; a repeated eigenvalue on a
     non-scalar matrix means no power works (defective); distinct real
     eigenvalues only allow ratio -1 (trace zero, m = 2); complex eigenvalues
     reduce to whether the rational cosine of the ratio angle lies in
-    {0, +-1/2, -1}, which pins the order to one of {2, 3, 4, 6}.
+    {0, +-1/2, -1}, which pins the order to one of {2, 3, 4, 6}.  `cp`, if
+    given, is `char_poly(a)`, already at hand in the caller.
     """
     if a.det() == 0:
         raise ValueError("matrix must be invertible")
     if a.is_scalar():
         return PeriodResult(1, a.e00)
-    cp = char_poly(a)
+    if cp is None:
+        cp = char_poly(a)
     disc = cp.discriminant
     if disc == 0:
         return None

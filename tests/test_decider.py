@@ -1,6 +1,7 @@
 """Set-level decisions, witness verification, and instance reductions."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,12 +16,15 @@ from mortality2x2 import (
     cross_split,
     decide,
     factor_rank_one,
+    mat_pow,
     outer,
     pad_singular,
     rank,
     to_two_singular,
     verify_witness,
 )
+from mortality2x2 import decide_pair
+from mortality2x2.pairs import Prepared, Witness, analyze_inner, endpoint
 from mortality2x2.decider import (
     IMMORTAL_ALL_INVERTIBLE,
     IMMORTAL_NO_ZERO_PAIR,
@@ -237,3 +241,142 @@ def test_every_mortal_verdict_verifies():
         verdict = decide(inst)
         if isinstance(verdict, Mortal):
             assert verify_witness(inst, verdict.witness)
+
+
+# ------------------------------------------------------- the hoisted pair loop
+
+# One V per spectral shape, with the minimal order m of V^m ~ I when periodic.
+LOOP_REGIMES = {
+    "periodic1": (mat([[2, 0], [0, 2]]), 1),
+    "periodic2_real": (mat([[1, 2], [3, -1]]), 2),
+    "periodic2_complex": (mat([[1, -2], [1, -1]]), 2),
+    "periodic3": (mat([[1, -3], [1, 1]]), 3),
+    "periodic4": (mat([[1, -1], [1, 1]]), 4),
+    "periodic6": (mat([[1, -1], [1, 2]]), 6),
+    "pos_square": (mat([[2, 0], [1, 1]]), None),
+    "pos_square_opposite_sign": (mat([[3, 0], [1, -1]]), None),
+    "pos_nonsquare": (mat([[2, 1], [1, 1]]), None),
+    "pos_nonsquare_fractional_2p": (mat([[1, 2], [3, 1]]), None),
+    "negative": (mat([[1, -2], [1, 0]]), None),
+    "zero": (mat([[1, 1], [0, 1]]), None),
+    "zero_scaled": (mat([[2, 1], [0, 2]]), None),
+}
+
+
+def _plant(rng, v, k):
+    """u w^T with w orthogonal to V^k u, so that N V^k N = 0."""
+    power = mat_pow(v, k)
+    while True:
+        u = Vec2(rng.randint(-4, 4), rng.randint(-4, 4))
+        w = power.mul_vec(u).perp()
+        if w.dot(u) != 0:
+            return outer(u, w.scale(rng.choice((1, -2, Fraction(1, 3)))))
+
+
+def _loop_instances(name, count=12):
+    """Seeded instances over one V with 2-8 singular members, some planted,
+    duplicated or projectively equal to an earlier member."""
+    v, order = LOOP_REGIMES[name]
+    rng = random.Random(name)
+    out = []
+    for _ in range(count):
+        members = []
+        for _ in range(rng.randint(2, 8)):
+            roll = rng.random()
+            if members and roll < 0.2:
+                members.append(rng.choice(members))
+            elif members and roll < 0.35:
+                members.append(rng.choice(members).scale(rng.choice((-2, Fraction(1, 3), 5))))
+            elif order != 1 and roll < 0.45:
+                members.append(_plant(rng, v, rng.randint(1, (order or 13) - 1)))
+            else:
+                members.append(rand_rank_one(rng, 9, 5))
+        members.insert(rng.randint(0, len(members)), v)
+        out.append(Instance(tuple(members)))
+    return out
+
+
+def _reference_decide(instance):
+    """The pair route of `decide` as a row-major loop over bare `decide_pair`."""
+    mats = instance.matrices
+    (v_index,) = instance.invertible_indices
+    for i in instance.singular_indices:
+        for j in instance.singular_indices:
+            verdict = decide_pair(mats[i], mats[v_index], mats[j])
+            if isinstance(verdict, Witness):
+                word = (i,) + (v_index,) * verdict.k + (j,)
+                return Mortal(word, MORTAL_PAIR_EXPONENT, exponent_witness=(i, verdict.k, j))
+    return Immortal(IMMORTAL_PAIRS_REFUSED)
+
+
+def test_loop_regimes_have_the_intended_shape():
+    for v, order in LOOP_REGIMES.values():
+        periodic = analyze_inner(v).periodic
+        assert (periodic and periodic.order) == order
+
+
+@pytest.mark.parametrize("name", sorted(LOOP_REGIMES))
+def test_decide_matches_a_loop_over_bare_decide_pair(name):
+    exponents = set()
+    for inst in _loop_instances(name):
+        verdict = decide(inst)
+        assert verdict == _reference_decide(inst)
+        if isinstance(verdict, Mortal):
+            exponents.add(verdict.exponent_witness[1])
+            assert verify_witness(inst, verdict.witness)
+        else:
+            exponents.add(None)
+    # the corpus reaches refusals and exponents past k = 0
+    assert None in exponents
+    assert LOOP_REGIMES[name][1] == 1 or max(k or 0 for k in exponents) >= 1
+
+
+@pytest.mark.parametrize("name", sorted(LOOP_REGIMES))
+def test_prepared_pairs_match_bare_pairs(name):
+    v, _ = LOOP_REGIMES[name]
+    inner = analyze_inner(v)
+    for inst in _loop_instances(name, count=4):
+        singulars = [inst.matrices[i] for i in inst.singular_indices]
+        ends = [endpoint(n, v) for n in singulars]
+        for left, n_left in zip(ends, singulars):
+            for right, n_right in zip(ends, singulars):
+                bare = decide_pair(n_left, v, n_right)
+                assert decide_pair(n_left, v, n_right, Prepared(inner, left, right)) == bare
+
+
+def test_decide_hoists_the_per_v_and_per_member_work(monkeypatch):
+    # n = 6 singular members and one V with complex eigenvalues, all 36 pairs refused
+    v = mat([[1, -2], [1, 0]])
+    rng = random.Random(6)
+    while True:
+        inst = Instance((*(rand_rank_one(rng, 3, 3) for _ in range(6)), v))
+        if decide(inst) == Immortal(IMMORTAL_PAIRS_REFUSED):
+            break
+    calls = {}
+    modules = [m for name, m in sys.modules.items() if name.startswith("mortality2x2")]
+    for owner, fn_name in (
+        ("linalg", "char_poly"),
+        ("linalg", "factor_rank_one"),
+        ("spectral", "power_similar_identity"),
+        ("spectral", "eigen_ratio"),
+        ("pairs", "decide_pair"),
+    ):
+        original = getattr(sys.modules["mortality2x2." + owner], fn_name)
+        calls[fn_name] = 0
+
+        def counted(*args, _fn=original, _name=fn_name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    assert decide(inst) == Immortal(IMMORTAL_PAIRS_REFUSED)
+    assert calls == {
+        "char_poly": 1,
+        "factor_rank_one": 6,
+        "power_similar_identity": 1,
+        "eigen_ratio": 1,
+        "decide_pair": 36,
+    }

@@ -5,7 +5,16 @@ from collections import deque
 
 import pytest
 
-from mortality2x2 import EntryRange, Instance, Mat2, fuzz_compare, random_instance, search
+from mortality2x2 import (
+    EntryRange,
+    Instance,
+    InternalError,
+    Mat2,
+    fuzz_compare,
+    random_instance,
+    search,
+)
+from mortality2x2 import oracle
 from mortality2x2.oracle import _canon, _mul, _to_int_mat
 from helpers import exhaustive_search, rand_invertible_int, rand_rank_one
 
@@ -138,3 +147,10 @@ def test_fuzz_compare_parallel_matches_serial():
 def test_fuzz_compare_validation():
     with pytest.raises(ValueError):
         fuzz_compare(count=0, seed=1)
+
+
+def test_fuzz_check_rejects_a_non_verdict(monkeypatch):
+    # verdicts are classified by an explicit check, which `python -O` keeps
+    monkeypatch.setattr(oracle, "decide", lambda instance, oracle_bound: None)
+    with pytest.raises(InternalError):
+        fuzz_compare(count=1, seed=0)
