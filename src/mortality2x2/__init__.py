@@ -5,118 +5,28 @@ A finite set of matrices is mortal when some finite product of its members
 question is decided here exactly, with verifiable witness words, whenever the
 set contains at most one invertible matrix; sets with two or more invertible
 members receive a bounded-search Unknown verdict.
+
+The package exports what callers of the decider use; the layers below it
+(`linalg`, `spectral`, `pairs`) are imported from their modules.
 """
 
-from .linalg import (
-    CharPoly,
-    InternalError,
-    Mat2,
-    RankError,
-    Rat,
-    Vec2,
-    char_poly,
-    factor_rank_one,
-    is_scalar_multiple,
-    mat_pow,
-    outer,
-    primitive_normalize,
-    rank,
-)
-from .spectral import (
-    ChebyshevAnswer,
-    Empty,
-    Finite,
-    NIVEN_COSINES,
-    Periodic,
-    PeriodResult,
-    QuadNum,
-    cheb_solve,
-    eigen_ratio,
-    power_similar_identity,
-    quad_pow,
-)
-from .pairs import (
-    NoExponent,
-    PairProblem,
-    PairVerdict,
-    RecurrenceState,
-    RefusalReason,
-    ScalarRecurrence,
-    Witness,
-    decide_pair,
-    iter_recurrence,
-    pair_problem,
-    r_next,
-    solve_r_eq_x,
-    solve_ratio_power,
-)
-from .decider import (
-    Immortal,
-    Instance,
-    Mortal,
-    Unknown,
-    Verdict,
-    Word,
-    cross_split,
-    decide,
-    pad_singular,
-    to_two_singular,
-    verify_witness,
-)
-from .oracle import EntryRange, FuzzReport, fuzz_compare, random_instance, search
+from .linalg import InternalError, Mat2, RankError
+from .decider import Immortal, Instance, Mortal, Unknown, Verdict, Word, decide, verify_witness
+from .oracle import EntryRange, fuzz_compare, search
 
 __all__ = [
-    "CharPoly",
-    "ChebyshevAnswer",
-    "Empty",
     "EntryRange",
-    "Finite",
-    "FuzzReport",
     "Immortal",
     "Instance",
     "InternalError",
     "Mat2",
     "Mortal",
-    "NIVEN_COSINES",
-    "NoExponent",
-    "PairProblem",
-    "PairVerdict",
-    "Periodic",
-    "PeriodResult",
-    "QuadNum",
     "RankError",
-    "Rat",
-    "RecurrenceState",
-    "RefusalReason",
-    "ScalarRecurrence",
     "Unknown",
-    "Vec2",
     "Verdict",
-    "Witness",
     "Word",
-    "char_poly",
-    "cheb_solve",
-    "cross_split",
     "decide",
-    "decide_pair",
-    "eigen_ratio",
-    "factor_rank_one",
     "fuzz_compare",
-    "is_scalar_multiple",
-    "iter_recurrence",
-    "mat_pow",
-    "outer",
-    "pad_singular",
-    "pair_problem",
-    "power_similar_identity",
-    "primitive_normalize",
-    "quad_pow",
-    "r_next",
-    "random_instance",
-    "rank",
     "search",
-    "solve_r_eq_x",
-    "solve_ratio_power",
-    "to_two_singular",
     "verify_witness",
 ]

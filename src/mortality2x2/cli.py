@@ -42,6 +42,17 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def _at_least_one(text: str) -> int:
+    """argparse type for counts and bounds: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_entry(raw: object, where: str) -> Fraction:
     if isinstance(raw, bool):
         raise CliError(f"{where}: boolean is not a rational entry")
@@ -213,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_decide = sub.add_parser("decide", help="decide mortality of an instance file")
     p_decide.add_argument("file")
     p_decide.add_argument("--json", action="store_true")
-    p_decide.add_argument("--oracle-bound", type=int, default=8, dest="oracle_bound")
+    p_decide.add_argument("--oracle-bound", type=_at_least_one, default=8, dest="oracle_bound")
     p_decide.set_defaults(func=cmd_decide)
 
     p_verify = sub.add_parser("verify", help="check a witness word against an instance file")
@@ -224,16 +235,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="bounded brute-force search for a zero product")
     p_oracle.add_argument("file")
     p_oracle.add_argument("--json", action="store_true")
-    p_oracle.add_argument("--max-len", type=int, default=8, dest="max_len")
+    p_oracle.add_argument("--max-len", type=_at_least_one, default=8, dest="max_len")
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_fuzz = sub.add_parser("fuzz", help="cross-validate the decider against the search oracle")
     p_fuzz.add_argument("--json", action="store_true")
-    p_fuzz.add_argument("--count", type=int, default=1000)
+    p_fuzz.add_argument("--count", type=_at_least_one, default=1000)
     p_fuzz.add_argument("--seed", type=int, default=0)
-    p_fuzz.add_argument("--oracle-bound", type=int, default=8, dest="oracle_bound")
-    p_fuzz.add_argument("--max-numerator", type=int, default=3, dest="max_numerator")
-    p_fuzz.add_argument("--max-denominator", type=int, default=3, dest="max_denominator")
+    p_fuzz.add_argument("--oracle-bound", type=_at_least_one, default=8, dest="oracle_bound")
+    p_fuzz.add_argument("--max-numerator", type=_at_least_one, default=3, dest="max_numerator")
+    p_fuzz.add_argument("--max-denominator", type=_at_least_one, default=3, dest="max_denominator")
     p_fuzz.set_defaults(func=cmd_fuzz)
 
     return parser

@@ -228,6 +228,30 @@ def mat_pow(m: Mat2, k: int) -> Mat2:
     return result
 
 
+IntMat = tuple[int, int, int, int]
+
+
+def to_int_mat(m: Mat2) -> IntMat:
+    """Entries of m times the lcm of their denominators, row-major."""
+    entries = m.entries()
+    den_lcm = 1
+    for e in entries:
+        den_lcm = den_lcm * e.denominator // gcd(den_lcm, e.denominator)
+    return tuple(e.numerator * (den_lcm // e.denominator) for e in entries)  # type: ignore[return-value]
+
+
+def canon_int_mat(a: IntMat) -> IntMat:
+    """a divided by the gcd of its entries, signed so that the first nonzero
+    entry is positive; a must not be zero."""
+    g = gcd(*a)
+    for value in a:
+        if value != 0:
+            if value < 0:
+                g = -g
+            break
+    return (a[0] // g, a[1] // g, a[2] // g, a[3] // g)
+
+
 def primitive_normalize(m: Mat2) -> tuple[Mat2, Rat]:
     """Canonical representative of the nonzero-scaling class of m.
 
@@ -236,18 +260,6 @@ def primitive_normalize(m: Mat2) -> tuple[Mat2, Rat]:
     """
     if m.is_zero():
         raise ValueError("zero matrix has no primitive form")
-    entries = m.entries()
-    den_lcm = 1
-    for e in entries:
-        den_lcm = den_lcm * e.denominator // gcd(den_lcm, e.denominator)
-    ints = [e.numerator * (den_lcm // e.denominator) for e in entries]
-    g = 0
-    for value in ints:
-        g = gcd(g, abs(value))
-    sign = 1
-    for value in ints:
-        if value != 0:
-            sign = 1 if value > 0 else -1
-            break
-    p = Mat2(*(Fraction(value * sign, g) for value in ints))
-    return p, Fraction(sign * g, den_lcm)
+    p = canon_int_mat(to_int_mat(m))
+    s = next(e / q for e, q in zip(m.entries(), p) if q != 0)
+    return Mat2(*p), s

@@ -19,23 +19,12 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Optional
 
 from .decider import Immortal, Instance, Mortal, Unknown, Word, decide, verify_witness
-from .linalg import InternalError, Mat2, Vec2, outer
-
-IntMat = tuple[int, int, int, int]
+from .linalg import IntMat, InternalError, Mat2, Vec2, canon_int_mat, outer, to_int_mat
 
 _ZERO: IntMat = (0, 0, 0, 0)
-
-
-def _to_int_mat(m: Mat2) -> IntMat:
-    entries = m.entries()
-    den_lcm = 1
-    for e in entries:
-        den_lcm = den_lcm * e.denominator // gcd(den_lcm, e.denominator)
-    return tuple(e.numerator * (den_lcm // e.denominator) for e in entries)  # type: ignore[return-value]
 
 
 def _mul(a: IntMat, b: IntMat) -> IntMat:
@@ -47,16 +36,6 @@ def _mul(a: IntMat, b: IntMat) -> IntMat:
     )
 
 
-def _canon(a: IntMat) -> IntMat:
-    g = gcd(gcd(abs(a[0]), abs(a[1])), gcd(abs(a[2]), abs(a[3])))
-    for value in a:
-        if value != 0:
-            if value < 0:
-                g = -g
-            break
-    return (a[0] // g, a[1] // g, a[2] // g, a[3] // g)
-
-
 def search(instance: Instance, max_len: int) -> Optional[Word]:
     """Shortest word of length <= max_len whose product is zero, or None.
 
@@ -66,13 +45,13 @@ def search(instance: Instance, max_len: int) -> Optional[Word]:
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    mats = [_to_int_mat(m) for m in instance.matrices]
+    mats = [to_int_mat(m) for m in instance.matrices]
     seen: set[IntMat] = set()
     queue: deque[tuple[IntMat, Word]] = deque()
     for i, m in enumerate(mats):
         if m == _ZERO:
             return (i,)
-        c = _canon(m)
+        c = canon_int_mat(m)
         if c not in seen:
             seen.add(c)
             queue.append((c, (i,)))
@@ -84,7 +63,7 @@ def search(instance: Instance, max_len: int) -> Optional[Word]:
             product = _mul(state, m)
             if product == _ZERO:
                 return word + (j,)
-            c = _canon(product)
+            c = canon_int_mat(product)
             if c not in seen:
                 seen.add(c)
                 queue.append((c, word + (j,)))
@@ -98,6 +77,10 @@ class EntryRange:
 
     max_numerator: int = 3
     max_denominator: int = 3
+
+    def __post_init__(self) -> None:
+        if self.max_numerator < 0 or self.max_denominator < 1:
+            raise ValueError("need max_numerator >= 0 and max_denominator >= 1")
 
 
 def _random_rat(rng: random.Random, entry_range: EntryRange) -> Fraction:
@@ -115,6 +98,8 @@ def random_instance(
 ) -> Instance:
     """Random instance with 1..max_singulars singular members (rank <= 1 by
     outer-product construction) and at most one invertible member."""
+    if invertible_probability > 0 and entry_range.max_numerator < 1:
+        raise ValueError("an invertible member needs max_numerator >= 1")
     mats = []
     for _ in range(rng.randint(1, max_singulars)):
         u = Vec2(_random_rat(rng, entry_range), _random_rat(rng, entry_range))

@@ -13,18 +13,15 @@ r_k = x with x = -s_1/s_0.  For d = b^2 - 4c != 0 both readings are one
 power equation rho^k = tau over Q(sqrt(d)): rho is the eigenvalue ratio and
 tau = -conj(a)/a for s_k = a l1^k + conj(a) l2^k.  Since N(rho) = 1, its
 rational part is the Chebyshev equation T_k(p) = q with p = rho.re, which
-has at most one solution off the periodic case.  That index is found with
-O(log k) exact doubling steps, O(log^2 k) when 2p is an integer and the
-index is bisected, and then confirmed:
-
-* negative discriminant -- |p| < 1, solved by `cheb_solve` and confirmed by
-  exact powering of rho in Q(sqrt(d));
-* positive discriminant -- |p| > 1, solved by the same index search and
-  confirmed by the doubling ladder r_{2j} = (r_j^2 - c)/(2 r_j - b),
-  r_{j+1} = c/(b - r_j), which is plain rational equality and so also holds
-  when d is a perfect square;
-* zero discriminant -- the closed form r_k = (k-1) b / (2k), solved
-  linearly.
+has at most one solution off the periodic case, whatever the sign of d
+(|p| < 1 for d < 0, |p| > 1 for d > 0).  One index search names that
+solution with O(log k) exact doubling steps, O(log^2 k) when 2p is an
+integer and the index is bisected, and one confirmation accepts it: the
+doubling ladder r_{2j} = (r_j^2 - c)/(2 r_j - b), r_{j+1} = c/(b - r_j)
+must give r_k = x.  That is plain rational equality, so it also holds when
+d is a perfect square, and it refuses the conjugate solution rho^k =
+conj(tau), which is r_{-k} = x.  The zero discriminant uses the closed form
+r_k = (k-1) b / (2k), solved linearly.
 
 The work is split by what it depends on.  `analyze_inner` does everything
 that depends on V alone -- the invertibility check, the characteristic
@@ -59,18 +56,7 @@ from .linalg import (
     mat_pow,
     rank,
 )
-from .spectral import (
-    NIVEN_COSINES,
-    Empty,
-    Finite,
-    PeriodResult,
-    QuadNum,
-    _cheb_index,
-    cheb_solve,
-    eigen_ratio,
-    power_similar_identity,
-    quad_pow,
-)
+from .spectral import PeriodResult, QuadNum, _cheb_index, eigen_ratio, power_similar_identity
 
 
 class RefusalReason(str, enum.Enum):
@@ -276,40 +262,35 @@ def solve_r_eq_x(cp: CharPoly, x: Rat, rho: Optional[QuadNum] = None) -> Optiona
 
     Precondition: no power of the underlying matrix is similar to the
     identity (so the iteration is total and injective).  With s0 = 1 and
-    s1 = -x the question is the power equation rho^k = tau of
-    `solve_ratio_power`.  For a positive discriminant its rational part,
-    the Chebyshev equation T_k(p) = q with |p| > 1, names the only candidate
-    k, which is accepted only if r_k == x exactly; a fixed point x of the
-    Moebius map (N(a) = 0, possible only for a square discriminant) is
-    never attained.  The zero discriminant uses the closed form, and the
-    negative one delegates to `solve_ratio_power`.  `rho`, if given, is
-    `eigen_ratio(cp)`, computed once by a caller with many targets.
+    s1 = -x the question is the power equation rho^k = tau; for either sign
+    of the discriminant its rational part, the Chebyshev equation
+    T_k(p) = q, names the only candidate k, which is accepted only if
+    r_k == x exactly.  A fixed point x of the Moebius map, (2x - b)^2 = d,
+    is never attained: for d != 0 it is N(a) = 0 and needs a square d, for
+    d = 0 it is the limit b/2.  The zero discriminant uses the closed form.
+    `rho`, if given, is `eigen_ratio(cp)`, computed once by a caller with
+    many targets.
     """
     b, c = cp.b, cp.c
     if c == 0:
         raise ValueError("c must be nonzero (invertible matrix)")
+    if b == 0:
+        raise ValueError("b = 0 makes V^2 scalar, which is periodic; handle via power_similar_identity")
     x = Fraction(x)
     disc = cp.discriminant
-    if disc < 0:
-        return solve_ratio_power(cp, Fraction(1), -x, rho)
-    if disc == 0:
-        # closed form r_k = (k-1) b / (2k); b != 0 since c = b^2/4 != 0
-        if b == 2 * x:
-            return None  # the limit value, never attained
-        k = b / (b - 2 * x)
-        if k.denominator != 1 or k < 1:
-            return None
-        return int(k)
-
-    if b == 0:
-        raise ValueError("b = 0 with positive discriminant is periodic; handle via power_similar_identity")
-    # The power equation of `solve_ratio_power` with s0 = 1, s1 = -x has
-    # N(a) = (d - z^2)/(4d) for z = 2x - b, and only the rational part of
+    # With s0 = 1, s1 = -x and z = 2x - b, a = (z + sqrt(d))/(2 sqrt(d)) has
+    # N(a) = (d - z^2)/(4d), and only the rational part of
     # tau = -conj(a)^2/N(a) is needed: 2 tau.re = 2(z^2 + d)/(z^2 - d),
     # written 2 + 4d/(z^2 - d) so that every gcd has a small operand.
     z_sq = (2 * x - b) ** 2
     if z_sq == disc:
-        return None  # N(a) = 0: x is a fixed point of the Moebius map, never attained
+        return None  # a fixed point of the Moebius map, never attained
+    if disc == 0:
+        # closed form r_k = (k-1) b / (2k); b != 0 since c = b^2/4 != 0
+        k = b / (b - 2 * x)
+        if k.denominator != 1 or k < 1:
+            return None
+        return int(k)
     if rho is None:
         rho = eigen_ratio(cp)
     k = _cheb_index(2 * rho.re, 2 + 4 * disc / (z_sq - disc))
@@ -325,38 +306,16 @@ def solve_ratio_power(
 
     With eigenvalues l1, l2 (conjugates over d = b^2 - 4c < 0), writing
     s_k = a l1^k + conj(a) l2^k, the zero condition is rho^k = tau for
-    rho = l1/l2 and tau = -conj(a)/a, both exact over Q(sqrt(d)).  Since rho
-    is not a root of unity here, at most one k exists; it is read off from
-    the rational cosine equation via `cheb_solve` and confirmed by exact
-    powering.  `rho`, if given, is `eigen_ratio(cp)`.
+    rho = l1/l2 and tau = -conj(a)/a.  Since rho is not a root of unity
+    here, at most one k exists; it is r_k = -s1/s0, found by the same index
+    search and r_k ladder as for a real rho (`solve_r_eq_x`), which rejects
+    a periodic rho with ValueError.  `rho`, if given, is `eigen_ratio(cp)`.
     """
-    b, c = cp.b, cp.c
-    disc = cp.discriminant
-    if disc >= 0:
+    if cp.discriminant >= 0:
         raise ValueError("requires complex eigenvalues (negative discriminant)")
     if s0 == 0:
         raise ValueError("s0 must be nonzero (handled upstream as an immediate witness)")
-    if rho is None:
-        rho = eigen_ratio(cp)
-    if rho.re in NIVEN_COSINES:
-        raise ValueError("eigenvalue ratio is a root of unity; periodic case must be handled by the caller")
-    s0, s1 = Fraction(s0), Fraction(s1)
-    # a = (s1 - l2 s0)/(l1 - l2) with l1 = (-b - sqrt(d))/2, l2 = (-b + sqrt(d))/2
-    a = QuadNum(s0 / 2, -(s1 + b * s0 / 2) / disc, disc)
-    a_norm = a.norm()  # positive: d < 0 and a != 0 because s0 != 0
-    conj_sq = a.conjugate() * a.conjugate()
-    tau = QuadNum(-conj_sq.re / a_norm, -conj_sq.im / a_norm, disc)
-    if tau.norm() != 1:
-        raise InternalError("the power target must have unit norm")
-    answer = cheb_solve(rho.re, tau.re)
-    if isinstance(answer, Empty):
-        return None
-    if not isinstance(answer, Finite):
-        raise InternalError("non-integer doubled cosine cannot be periodic")
-    for k in answer.solutions:
-        if k >= 1 and quad_pow(rho, k) == tau:
-            return k
-    return None
+    return solve_r_eq_x(cp, -Fraction(s1) / s0, rho)
 
 
 def decide_pair(
@@ -381,20 +340,15 @@ def decide_pair(
             return _checked_witness(problem, hit)
         return NoExponent(RefusalReason.PERIODIC_SCAN_EXHAUSTED)
 
-    cp = inner.char
-    disc = cp.discriminant
+    k = solve_r_eq_x(inner.char, problem.target, inner.rho)
+    if k is not None:
+        return _checked_witness(problem, k)
+    disc = inner.char.discriminant
     if disc < 0:
-        k = solve_ratio_power(cp, recurrence.s0, recurrence.s1, inner.rho)
-        reason = RefusalReason.RATIO_EQUATION_UNSATISFIABLE
-    elif disc > 0:
-        k = solve_r_eq_x(cp, problem.target, inner.rho)
-        reason = RefusalReason.ZERO_NEVER_HIT_MONOTONE
-    else:
-        k = solve_r_eq_x(cp, problem.target)
-        reason = RefusalReason.SINGLE_CANDIDATE_FAILED
-    if k is None:
-        return NoExponent(reason)
-    return _checked_witness(problem, k)
+        return NoExponent(RefusalReason.RATIO_EQUATION_UNSATISFIABLE)
+    if disc > 0:
+        return NoExponent(RefusalReason.ZERO_NEVER_HIT_MONOTONE)
+    return NoExponent(RefusalReason.SINGLE_CANDIDATE_FAILED)
 
 
 def _checked_witness(problem: PairProblem, k: int) -> Witness:

@@ -3,12 +3,13 @@
 Three pieces live here:
 
 * ``QuadNum`` -- exact arithmetic in a quadratic extension Q(sqrt(d)), used
-  to represent eigenvalue ratios and the targets of power equations.
+  to represent eigenvalue ratios.
 * ``cheb_solve`` -- given rational p, q in [-1, 1], the exact solution set of
   T_n(p) = q over nonnegative integers n, where T_n is the degree-n Chebyshev
   polynomial of the first kind (equivalently cos(n*theta) = q when
-  cos(theta) = p).  Its index search also serves |p| > 1, the rational part
-  of the real power equation of the exponent engine.
+  cos(theta) = p).  Its index search, which also serves |p| > 1, is what the
+  exponent engine calls for the rational part of its power equation, for
+  complex and real eigenvalues alike.
 * ``power_similar_identity`` -- the minimal m >= 1 such that A^m is a nonzero
   rational multiple of the identity, when one exists.
 """
@@ -270,10 +271,6 @@ _ORDER_BY_COSINE = {
     Fraction(1, 2): 6,
     Fraction(-1, 2): 3,
 }
-
-NIVEN_COSINES = frozenset(
-    (Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1), Fraction(-1))
-)
 
 
 def eigen_ratio(cp: CharPoly) -> QuadNum:

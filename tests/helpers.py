@@ -8,16 +8,10 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Optional
 
-from mortality2x2 import (
-    CharPoly,
-    Instance,
-    Mat2,
-    Vec2,
-    char_poly,
-    outer,
-    power_similar_identity,
-    r_next,
-)
+from mortality2x2 import Instance, Mat2
+from mortality2x2.linalg import CharPoly, Vec2, char_poly, outer
+from mortality2x2.pairs import r_next
+from mortality2x2.spectral import power_similar_identity
 
 # Representatives of the three spectral regimes (positive, zero and negative
 # discriminant), all invertible with no power similar to the identity.
@@ -78,7 +72,7 @@ def brute_force_cheb(p: Fraction, q: Fraction, n_max: int) -> set[int]:
 
 def answer_set(answer, n_max: int) -> set[int]:
     """Expand a ChebyshevAnswer to its solutions up to n_max."""
-    from mortality2x2 import Empty, Finite, Periodic
+    from mortality2x2.spectral import Empty, Finite, Periodic
 
     if isinstance(answer, Empty):
         return set()

@@ -8,26 +8,12 @@ import random
 import time
 from fractions import Fraction
 
-from mortality2x2 import (
-    CharPoly,
-    Instance,
-    Mat2,
-    Mortal,
-    Witness,
-    char_poly,
-    cheb_solve,
-    cross_split,
-    decide,
-    decide_pair,
-    fuzz_compare,
-    is_scalar_multiple,
-    iter_recurrence,
-    mat_pow,
-    power_similar_identity,
-    random_instance,
-    to_two_singular,
-    verify_witness,
-)
+from mortality2x2 import Instance, Mat2, Mortal, decide, fuzz_compare, verify_witness
+from mortality2x2.decider import cross_split, to_two_singular
+from mortality2x2.linalg import CharPoly, char_poly, is_scalar_multiple, mat_pow
+from mortality2x2.oracle import random_instance
+from mortality2x2.pairs import Witness, decide_pair, iter_recurrence
+from mortality2x2.spectral import cheb_solve, power_similar_identity
 from helpers import (
     REGIMES,
     answer_set,

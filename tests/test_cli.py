@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from mortality2x2.cli import main
 
 PLANTED = {"matrices": [[[7, -8], [0, 0]], [[2, 0], [1, 1]]]}
@@ -149,3 +151,24 @@ def test_usage_errors_exit_64(capsys):
     capsys.readouterr()
     assert main([]) == 64
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("decide", "--oracle-bound"),
+        ("oracle", "--max-len"),
+        ("fuzz", "--count"),
+        ("fuzz", "--oracle-bound"),
+        ("fuzz", "--max-numerator"),
+        ("fuzz", "--max-denominator"),
+    ],
+)
+def test_numbers_below_one_exit_64(tmp_path, capsys, command, option):
+    # must fail while parsing: run, a zero hangs (--max-numerator: no
+    # invertible member can be drawn) or ends in a verdict exit code
+    argv = [command, option, "0"]
+    if command != "fuzz":
+        argv.insert(1, write(tmp_path, TWO_INVERTIBLE))
+    assert main(argv) == 64
+    assert "must be at least 1" in capsys.readouterr().err

@@ -6,25 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from mortality2x2 import (
-    Immortal,
-    Instance,
-    Mat2,
-    Mortal,
-    Unknown,
-    Vec2,
-    cross_split,
-    decide,
-    factor_rank_one,
-    mat_pow,
-    outer,
-    pad_singular,
-    rank,
-    to_two_singular,
-    verify_witness,
-)
-from mortality2x2 import decide_pair
-from mortality2x2.pairs import Prepared, Witness, analyze_inner, endpoint
+from mortality2x2 import Immortal, Instance, Mat2, Mortal, Unknown, decide, verify_witness
+from mortality2x2.linalg import Vec2, factor_rank_one, mat_pow, outer, rank
+from mortality2x2.pairs import Prepared, Witness, analyze_inner, decide_pair, endpoint
 from mortality2x2.decider import (
     IMMORTAL_ALL_INVERTIBLE,
     IMMORTAL_NO_ZERO_PAIR,
@@ -32,6 +16,9 @@ from mortality2x2.decider import (
     MORTAL_PAIR_EXPONENT,
     MORTAL_TWO_STEP,
     MORTAL_ZERO_MEMBER,
+    cross_split,
+    pad_singular,
+    to_two_singular,
 )
 from helpers import rand_invertible_int, rand_rank_one, rand_rat
 

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mortality2x2 import (
+from mortality2x2 import Mat2, RankError
+from mortality2x2.linalg import (
     CharPoly,
-    Mat2,
-    RankError,
     Vec2,
     char_poly,
     factor_rank_one,

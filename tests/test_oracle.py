@@ -5,17 +5,10 @@ from collections import deque
 
 import pytest
 
-from mortality2x2 import (
-    EntryRange,
-    Instance,
-    InternalError,
-    Mat2,
-    fuzz_compare,
-    random_instance,
-    search,
-)
+from mortality2x2 import EntryRange, Instance, InternalError, Mat2, fuzz_compare, search
 from mortality2x2 import oracle
-from mortality2x2.oracle import _canon, _mul, _to_int_mat
+from mortality2x2.linalg import canon_int_mat, to_int_mat
+from mortality2x2.oracle import _mul, random_instance
 from helpers import exhaustive_search, rand_invertible_int, rand_rank_one
 
 
@@ -25,12 +18,12 @@ def mat(rows):
 
 def _search_without_dedup(instance: Instance, max_len: int):
     """Same breadth-first order as `search`, but no state deduplication."""
-    mats = [_to_int_mat(m) for m in instance.matrices]
+    mats = [to_int_mat(m) for m in instance.matrices]
     queue = deque()
     for i, m in enumerate(mats):
         if m == (0, 0, 0, 0):
             return (i,)
-        queue.append((_canon(m), (i,)))
+        queue.append((canon_int_mat(m), (i,)))
     while queue:
         state, word = queue.popleft()
         if len(word) >= max_len:
@@ -39,7 +32,7 @@ def _search_without_dedup(instance: Instance, max_len: int):
             product = _mul(state, m)
             if product == (0, 0, 0, 0):
                 return word + (j,)
-            queue.append((_canon(product), word + (j,)))
+            queue.append((canon_int_mat(product), word + (j,)))
     return None
 
 
@@ -147,6 +140,12 @@ def test_fuzz_compare_parallel_matches_serial():
 def test_fuzz_compare_validation():
     with pytest.raises(ValueError):
         fuzz_compare(count=0, seed=1)
+    for bad in ((-1, 1), (1, 0)):
+        with pytest.raises(ValueError):
+            EntryRange(*bad)
+    # numerators in {0} can never give the invertible member it may draw
+    with pytest.raises(ValueError):
+        fuzz_compare(count=1, seed=1, entry_range=EntryRange(0, 1))
 
 
 def test_fuzz_check_rejects_a_non_verdict(monkeypatch):

@@ -1,5 +1,5 @@
-"""Pair engine: the Moebius iteration, the two exponent solvers, and the
-pair decision with its certificates."""
+"""Pair engine: the Moebius iteration, the exponent solver with its
+complex-eigenvalue entry point, and the pair decision with its certificates."""
 
 import random
 from fractions import Fraction
@@ -7,22 +7,15 @@ from math import isqrt
 
 import pytest
 
-from mortality2x2 import (
-    CharPoly,
-    InternalError,
-    Mat2,
+from mortality2x2 import InternalError, Mat2, RankError
+from mortality2x2.linalg import CharPoly, Vec2, char_poly, is_scalar_multiple, mat_pow, outer
+from mortality2x2.pairs import (
     NoExponent,
-    RankError,
     RefusalReason,
     ScalarRecurrence,
-    Vec2,
     Witness,
-    char_poly,
     decide_pair,
-    is_scalar_multiple,
     iter_recurrence,
-    mat_pow,
-    outer,
     pair_problem,
     r_next,
     solve_r_eq_x,
@@ -146,30 +139,35 @@ def _is_square(q: Fraction) -> bool:
 
 def test_solve_r_eq_x_positive_discriminant_matches_iteration():
     # r_k is found at its index for k up to 200, and values next to it are
-    # refused, for square and non-square discriminants alike
+    # refused, for square and non-square positive discriminants and, as a
+    # second input set, for negative ones: one solver serves every sign
     rng = random.Random(3141)
     squares = []
-    while len(squares) < 40:
-        cp = char_poly(rand_nonperiodic_invertible(rng))
-        if cp.discriminant <= 0:
-            continue
-        squares.append(_is_square(cp.discriminant))
-        values = [state.r for state, _ in zip(iter_recurrence(cp), range(200))]
-        for k_star in [1, 2, 3, 200] + rng.sample(range(4, 200), 12):
-            x = values[k_star - 1]
-            assert solve_r_eq_x(cp, x) == k_star
-            near = x + Fraction(1, rng.randint(2, 9) * x.denominator)
-            answer = solve_r_eq_x(cp, near)
-            if near in values:
-                assert answer == values.index(near) + 1
-            else:
-                assert answer is None or (answer > 200 and r_value(cp, answer) == near)
-        # r_{-j} (V^-j ~ V + r_{-j} I) solves the same Chebyshev equation as
-        # an r_j, through rho^j = 1/tau; only the exact check refuses it
-        x = cp.b  # r_{-1}
-        for _ in range(30):
-            assert solve_r_eq_x(cp, x) is None
-            x = cp.b - cp.c / x
+    for sign in (1, -1):
+        solved = 0
+        while solved < 40:
+            cp = char_poly(rand_nonperiodic_invertible(rng))
+            if sign * cp.discriminant <= 0:
+                continue
+            solved += 1
+            if sign > 0:
+                squares.append(_is_square(cp.discriminant))
+            values = [state.r for state, _ in zip(iter_recurrence(cp), range(200))]
+            for k_star in [1, 2, 3, 200] + rng.sample(range(4, 200), 12):
+                x = values[k_star - 1]
+                assert solve_r_eq_x(cp, x) == k_star
+                near = x + Fraction(1, rng.randint(2, 9) * x.denominator)
+                answer = solve_r_eq_x(cp, near)
+                if near in values:
+                    assert answer == values.index(near) + 1
+                else:
+                    assert answer is None or (answer > 200 and r_value(cp, answer) == near)
+            # r_{-j} (V^-j ~ V + r_{-j} I) solves the same Chebyshev equation
+            # as an r_j, through rho^j = 1/tau; only the exact check refuses it
+            x = cp.b  # r_{-1}
+            for _ in range(30):
+                assert solve_r_eq_x(cp, x) is None
+                x = cp.b - cp.c / x
     assert any(squares) and not all(squares)
 
 
@@ -181,7 +179,7 @@ def test_solve_r_eq_x_rejects_periodic_shapes():
 
 
 def test_solve_r_eq_x_complex_delegation():
-    # negative discriminant goes through the ratio-power route
+    # a negative discriminant takes the same index search and r_k ladder
     cp = CharPoly(-1, 2)
     assert solve_r_eq_x(cp, Fraction(-2)) == 2  # x = -s1/s0 with s0=1, s1=2
     assert solve_r_eq_x(cp, Fraction(-1)) is None

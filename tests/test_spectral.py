@@ -8,22 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mortality2x2 import (
-    CharPoly,
+from mortality2x2 import Mat2
+from mortality2x2.linalg import CharPoly, is_scalar_multiple, mat_pow
+from mortality2x2.spectral import (
     Empty,
     Finite,
-    Mat2,
     Periodic,
     PeriodResult,
     QuadNum,
+    _cheb_index,
+    _cheb_ladder,
     cheb_solve,
     eigen_ratio,
-    is_scalar_multiple,
-    mat_pow,
     power_similar_identity,
     quad_pow,
 )
-from mortality2x2.spectral import _cheb_index, _cheb_ladder
 from helpers import answer_set, brute_force_cheb, doubled_cosine_track, rand_invertible_int, rand_rat
 
 
