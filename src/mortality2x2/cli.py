@@ -98,10 +98,6 @@ def load_instance(path: str) -> Instance:
     return Instance(tuple(matrices))
 
 
-def _rat_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _verdict_report(verdict: Verdict, timings: dict) -> dict:
     if isinstance(verdict, Mortal):
         return {

@@ -10,8 +10,8 @@ Complete whenever the set contains at most one invertible matrix:
   members (N_i, N_j) is reduced to the exponent question
   N_i V^k N_j = 0 and handed to `decide_pair`.  The work is hoisted out of
   the n^2 pair loop: V's spectral analysis (`analyze_inner`: the
-  invertibility check, characteristic polynomial, periodicity and
-  eigenvalue ratio) is done once per call, each member's rank check and
+  invertibility check, characteristic polynomial with its seed, and
+  periodicity) is done once per call, each member's rank check and
   factorization (`endpoint`) once per member, and only the two dot
   products, the scalar solve and any witness check once per pair;
 * with two or more invertible members the problem is out of scope; a

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Union
 
 Rat = Fraction
@@ -151,17 +151,24 @@ def outer(u: Vec2, v: Vec2) -> Mat2:
 class CharPoly:
     """Coefficients of the characteristic polynomial x^2 + b x + c.
 
-    The discriminant b^2 - 4c is derived once, at construction.
+    Two invariants are derived once, at construction: the discriminant
+    d = b^2 - 4c, and the seed b^2/c - 2 = l1/l2 + l2/l1, twice the
+    rational part of the eigenvalue ratio (None when c = 0).  The seed
+    alone tells the spectral regime of an invertible matrix: 2 for d = 0,
+    [-2, 2) for d < 0, and off [-2, 2] for d > 0 unless b = 0 (seed -2).
     """
 
     b: Rat
     c: Rat
     discriminant: Rat = field(init=False, repr=False, compare=False)
+    seed: Optional[Rat] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "b", _rat(self.b))
-        object.__setattr__(self, "c", _rat(self.c))
-        object.__setattr__(self, "discriminant", self.b * self.b - 4 * self.c)
+        b, c = _rat(self.b), _rat(self.c)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "discriminant", b * b - 4 * c)
+        object.__setattr__(self, "seed", b * b / c - 2 if c else None)
 
 
 def rank(m: Mat2) -> int:
@@ -234,32 +241,20 @@ IntMat = tuple[int, int, int, int]
 def to_int_mat(m: Mat2) -> IntMat:
     """Entries of m times the lcm of their denominators, row-major."""
     entries = m.entries()
-    den_lcm = 1
-    for e in entries:
-        den_lcm = den_lcm * e.denominator // gcd(den_lcm, e.denominator)
+    den_lcm = lcm(*(e.denominator for e in entries))
     return tuple(e.numerator * (den_lcm // e.denominator) for e in entries)  # type: ignore[return-value]
 
 
 def canon_int_mat(a: IntMat) -> IntMat:
     """a divided by the gcd of its entries, signed so that the first nonzero
-    entry is positive; a must not be zero."""
+    entry is positive; the canonical representative of a's nonzero-scaling
+    class."""
     g = gcd(*a)
+    if g == 0:
+        raise ValueError("zero matrix has no primitive form")
     for value in a:
         if value != 0:
             if value < 0:
                 g = -g
             break
     return (a[0] // g, a[1] // g, a[2] // g, a[3] // g)
-
-
-def primitive_normalize(m: Mat2) -> tuple[Mat2, Rat]:
-    """Canonical representative of the nonzero-scaling class of m.
-
-    Returns (p, s) with m == s * p, where p has integer entries with gcd 1
-    and a positive first nonzero entry in row-major order.
-    """
-    if m.is_zero():
-        raise ValueError("zero matrix has no primitive form")
-    p = canon_int_mat(to_int_mat(m))
-    s = next(e / q for e, q in zip(m.entries(), p) if q != 0)
-    return Mat2(*p), s

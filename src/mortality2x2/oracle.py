@@ -203,13 +203,12 @@ def fuzz_compare(
     entry_range: EntryRange = EntryRange(),
     max_singulars: int = 4,
     invertible_probability: float = 0.5,
-    workers: Optional[int] = None,
 ) -> FuzzReport:
     """Cross-validate `decide` against `search` on `count` seeded instances.
 
-    Instances are derived from per-instance child seeds drawn once from
-    `seed`, so reports are identical whether run serially or with a worker
-    pool (results merge in instance order).
+    Each instance is drawn from its own child seed, and the child seeds are
+    drawn once from `seed`, so instance i does not depend on how many
+    instances are checked or in which order.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -217,30 +216,10 @@ def fuzz_compare(
     child_seeds = [base.getrandbits(63) for _ in range(count)]
     report = FuzzReport(count=count, seed=seed, bound=bound)
 
-    if workers is not None and workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    _check_one,
-                    child_seeds,
-                    [bound] * count,
-                    [entry_range] * count,
-                    [max_singulars] * count,
-                    [invertible_probability] * count,
-                    chunksize=max(1, count // (workers * 8)),
-                )
-            )
-    else:
-        results = [
-            _check_one(cs, bound, entry_range, max_singulars, invertible_probability)
-            for cs in child_seeds
-        ]
-
-    for child_seed, (kind, witness_failure, contradiction, miss, unconfirmed, t_decide, t_search) in zip(
-        child_seeds, results
-    ):
+    for child_seed in child_seeds:
+        kind, witness_failure, contradiction, miss, unconfirmed, t_decide, t_search = _check_one(
+            child_seed, bound, entry_range, max_singulars, invertible_probability
+        )
         if kind == "mortal":
             report.mortal += 1
         elif kind == "immortal":

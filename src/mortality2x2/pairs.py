@@ -10,22 +10,23 @@ When some power of V is a scalar matrix, zeros of s repeat and one period
 is scanned.  Otherwise V^k ~ V + r_k I, where r_1 = 0 and
 r_k = c/(b - r_{k-1}) is a Moebius iteration, and s_k = 0 is equivalent to
 r_k = x with x = -s_1/s_0.  For d = b^2 - 4c != 0 both readings are one
-power equation rho^k = tau over Q(sqrt(d)): rho is the eigenvalue ratio and
-tau = -conj(a)/a for s_k = a l1^k + conj(a) l2^k.  Since N(rho) = 1, its
-rational part is the Chebyshev equation T_k(p) = q with p = rho.re, which
-has at most one solution off the periodic case, whatever the sign of d
-(|p| < 1 for d < 0, |p| > 1 for d > 0).  One index search names that
-solution with O(log k) exact doubling steps, O(log^2 k) when 2p is an
-integer and the index is bisected, and one confirmation accepts it: the
-doubling ladder r_{2j} = (r_j^2 - c)/(2 r_j - b), r_{j+1} = c/(b - r_j)
-must give r_k = x.  That is plain rational equality, so it also holds when
-d is a perfect square, and it refuses the conjugate solution rho^k =
-conj(tau), which is r_{-k} = x.  The zero discriminant uses the closed form
+power equation rho^k = tau over Q(sqrt(d)): rho = l1/l2 is the eigenvalue
+ratio and tau = -conj(a)/a for s_k = a l1^k + conj(a) l2^k.  Since
+N(rho) = 1, its rational part is the Chebyshev equation T_k(p) = q with
+2p = rho + 1/rho = b^2/c - 2, the seed of `CharPoly`, so rho itself is
+never built.  The equation has at most one solution off the periodic case,
+whatever the sign of d (|p| < 1 for d < 0, |p| > 1 for d > 0).  One index
+search names that solution with O(log k) exact doubling steps, O(log^2 k)
+when 2p is an integer and the index is bisected, and one confirmation
+accepts it: the doubling ladder r_{2j} = (r_j^2 - c)/(2 r_j - b),
+r_{j+1} = c/(b - r_j) must give r_k = x.  That is plain rational equality,
+so it also holds when d is a perfect square, and it refuses the conjugate
+solution rho^k = conj(tau), which is r_{-k} = x.  The zero discriminant uses the closed form
 r_k = (k-1) b / (2k), solved linearly.
 
 The work is split by what it depends on.  `analyze_inner` does everything
 that depends on V alone -- the invertibility check, the characteristic
-polynomial, the periodicity test and the eigenvalue ratio rho -- and
+polynomial with its seed, and the periodicity test read off the seed -- and
 `endpoint` does the rank check and the factorization N = u v^T of one
 singular member together with V u.  Per pair only s0 = v_l . u_r,
 s1 = v_l . (V u_r), the scalar solve and the witness product remain, so a
@@ -56,7 +57,7 @@ from .linalg import (
     mat_pow,
     rank,
 )
-from .spectral import PeriodResult, QuadNum, _cheb_index, eigen_ratio, power_similar_identity
+from .spectral import PeriodResult, _cheb_index, power_similar_identity
 
 
 class RefusalReason(str, enum.Enum):
@@ -100,14 +101,6 @@ class ScalarRecurrence:
             yield prev
             prev, cur = cur, -self.b * cur - self.c * prev
 
-    def term(self, k: int) -> Rat:
-        if k < 0:
-            raise ValueError("index must be nonnegative")
-        for i, value in enumerate(self.terms()):
-            if i == k:
-                return value
-        raise AssertionError("unreachable")
-
     def first_zero(self, lo: int, hi: int) -> Optional[int]:
         """Smallest k in [lo, hi) with s_k == 0, or None."""
         for i, value in enumerate(self.terms()):
@@ -130,14 +123,13 @@ class RecurrenceState:
 class InnerAnalysis:
     """What every pair question over one invertible V shares.
 
-    `periodic` is the minimal m with V^m a scalar matrix, when one exists;
-    `rho` is the eigenvalue ratio over Q(sqrt(d)), set only off the
-    periodic case and for d != 0, where the power equation needs it.
+    `char` carries the discriminant and the seed that the power equation
+    reads; `periodic` is the minimal m with V^m a scalar matrix, when one
+    exists.
     """
 
     char: CharPoly
     periodic: Optional[PeriodResult]
-    rho: Optional[QuadNum]
 
 
 def analyze_inner(v: Mat2) -> InnerAnalysis:
@@ -145,9 +137,7 @@ def analyze_inner(v: Mat2) -> InnerAnalysis:
     if v.det() == 0:
         raise ValueError("inner matrix must be invertible")
     cp = char_poly(v)
-    periodic = power_similar_identity(v, cp)
-    rho = eigen_ratio(cp) if periodic is None and cp.discriminant != 0 else None
-    return InnerAnalysis(cp, periodic, rho)
+    return InnerAnalysis(cp, power_similar_identity(v, cp))
 
 
 @dataclass(frozen=True)
@@ -257,19 +247,18 @@ def _r_term(b: Rat, c: Rat, k: int) -> Rat:
     return r
 
 
-def solve_r_eq_x(cp: CharPoly, x: Rat, rho: Optional[QuadNum] = None) -> Optional[int]:
+def solve_r_eq_x(cp: CharPoly, x: Rat) -> Optional[int]:
     """The unique k >= 1 with r_k == x, or None.
 
     Precondition: no power of the underlying matrix is similar to the
     identity (so the iteration is total and injective).  With s0 = 1 and
     s1 = -x the question is the power equation rho^k = tau; for either sign
     of the discriminant its rational part, the Chebyshev equation
-    T_k(p) = q, names the only candidate k, which is accepted only if
-    r_k == x exactly.  A fixed point x of the Moebius map, (2x - b)^2 = d,
-    is never attained: for d != 0 it is N(a) = 0 and needs a square d, for
-    d = 0 it is the limit b/2.  The zero discriminant uses the closed form.
-    `rho`, if given, is `eigen_ratio(cp)`, computed once by a caller with
-    many targets.
+    T_k(p) = q with 2p = `cp.seed`, names the only candidate k, which is
+    accepted only if r_k == x exactly.  A fixed point x of the Moebius map,
+    (2x - b)^2 = d, is never attained: for d != 0 it is N(a) = 0 and needs a
+    square d, for d = 0 it is the limit b/2.  The zero discriminant uses the
+    closed form.
     """
     b, c = cp.b, cp.c
     if c == 0:
@@ -291,31 +280,27 @@ def solve_r_eq_x(cp: CharPoly, x: Rat, rho: Optional[QuadNum] = None) -> Optiona
         if k.denominator != 1 or k < 1:
             return None
         return int(k)
-    if rho is None:
-        rho = eigen_ratio(cp)
-    k = _cheb_index(2 * rho.re, 2 + 4 * disc / (z_sq - disc))
+    k = _cheb_index(cp.seed, 2 + 4 * disc / (z_sq - disc))
     if k is None or k < 1 or _r_term(b, c, k) != x:
         return None
     return k
 
 
-def solve_ratio_power(
-    cp: CharPoly, s0: Rat, s1: Rat, rho: Optional[QuadNum] = None
-) -> Optional[int]:
+def solve_ratio_power(cp: CharPoly, s0: Rat, s1: Rat) -> Optional[int]:
     """Smallest k >= 1 with s_k == 0 in the complex-eigenvalue regime, or None.
 
     With eigenvalues l1, l2 (conjugates over d = b^2 - 4c < 0), writing
     s_k = a l1^k + conj(a) l2^k, the zero condition is rho^k = tau for
     rho = l1/l2 and tau = -conj(a)/a.  Since rho is not a root of unity
-    here, at most one k exists; it is r_k = -s1/s0, found by the same index
-    search and r_k ladder as for a real rho (`solve_r_eq_x`), which rejects
-    a periodic rho with ValueError.  `rho`, if given, is `eigen_ratio(cp)`.
+    here, at most one k exists; it is r_k = -s1/s0, found from the seed
+    b^2/c - 2 = 2 Re(rho) by the same index search and r_k ladder as for a
+    real rho (`solve_r_eq_x`), which rejects a periodic rho with ValueError.
     """
     if cp.discriminant >= 0:
         raise ValueError("requires complex eigenvalues (negative discriminant)")
     if s0 == 0:
         raise ValueError("s0 must be nonzero (handled upstream as an immediate witness)")
-    return solve_r_eq_x(cp, -Fraction(s1) / s0, rho)
+    return solve_r_eq_x(cp, -Fraction(s1) / s0)
 
 
 def decide_pair(
@@ -340,7 +325,7 @@ def decide_pair(
             return _checked_witness(problem, hit)
         return NoExponent(RefusalReason.PERIODIC_SCAN_EXHAUSTED)
 
-    k = solve_r_eq_x(inner.char, problem.target, inner.rho)
+    k = solve_r_eq_x(inner.char, problem.target)
     if k is not None:
         return _checked_witness(problem, k)
     disc = inner.char.discriminant

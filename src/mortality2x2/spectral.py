@@ -2,16 +2,17 @@
 
 Three pieces live here:
 
-* ``QuadNum`` -- exact arithmetic in a quadratic extension Q(sqrt(d)), used
-  to represent eigenvalue ratios.
+* ``QuadNum`` -- exact arithmetic in a quadratic extension Q(sqrt(d)), with
+  ``quad_pow`` its square-and-multiply power.
 * ``cheb_solve`` -- given rational p, q in [-1, 1], the exact solution set of
   T_n(p) = q over nonnegative integers n, where T_n is the degree-n Chebyshev
   polynomial of the first kind (equivalently cos(n*theta) = q when
   cos(theta) = p).  Its index search, which also serves |p| > 1, is what the
-  exponent engine calls for the rational part of its power equation, for
-  complex and real eigenvalues alike.
+  exponent engine calls for the rational part of its power equation, with
+  the seed b^2/c - 2 = 2 Re(rho) of V as its doubled p, for complex and
+  real eigenvalues alike.
 * ``power_similar_identity`` -- the minimal m >= 1 such that A^m is a nonzero
-  rational multiple of the identity, when one exists.
+  rational multiple of the identity, when one exists, read off the seed.
 """
 
 from __future__ import annotations
@@ -263,38 +264,22 @@ class PeriodResult:
     scalar: Rat
 
 
-# Rational cosines attained at rational multiples of pi, keyed to the order
-# of the corresponding unit: cos -> minimal m with (cos + i sin)^m = 1.
-_ORDER_BY_COSINE = {
-    Fraction(-1): 2,
-    Fraction(0): 4,
-    Fraction(1, 2): 6,
-    Fraction(-1, 2): 3,
-}
-
-
-def eigen_ratio(cp: CharPoly) -> QuadNum:
-    """Ratio of the two eigenvalues of a matrix with polynomial x^2 + b x + c.
-
-    Returned over the radicand d = b^2 - 4c as
-    (b^2 - 2c)/(2c) + (b/(2c)) sqrt(d).  For d < 0 the value lies on the unit
-    circle: its norm is identically 1.
-    """
-    if cp.c == 0:
-        raise ValueError("eigenvalue ratio requires det != 0")
-    two_c = 2 * cp.c
-    return QuadNum((cp.b * cp.b - two_c) / two_c, cp.b / two_c, cp.discriminant)
+# Order m of a unit whose doubled cosine is the seed l1/l2 + l2/l1.  By
+# Niven's theorem these are the only integer doubled cosines in [-2, 2) (a
+# seed of 2 is d = 0), so any other seed leaves every power non-scalar.
+_ORDER_BY_SEED = {-2: 2, -1: 3, 0: 4, 1: 6}
 
 
 def power_similar_identity(a: Mat2, cp: Optional[CharPoly] = None) -> Optional[PeriodResult]:
     """Minimal m >= 1 with A^m a nonzero multiple of I, or None.
 
-    Branches: scalar matrices have m = 1; a repeated eigenvalue on a
-    non-scalar matrix means no power works (defective); distinct real
-    eigenvalues only allow ratio -1 (trace zero, m = 2); complex eigenvalues
-    reduce to whether the rational cosine of the ratio angle lies in
-    {0, +-1/2, -1}, which pins the order to one of {2, 3, 4, 6}.  `cp`, if
-    given, is `char_poly(a)`, already at hand in the caller.
+    Scalar matrices have m = 1.  A non-scalar A has A^m scalar exactly when
+    its eigenvalue ratio rho is an m-th root of unity other than 1 (rho = 1
+    is a repeated eigenvalue of a defective A).  rho + 1/rho is the seed
+    b^2/c - 2 of `CharPoly`, an integer in [-2, 2] for a root of unity, so
+    only the seeds -2, -1, 0 and 1 are periodic, with m = 2, 3, 4 and 6;
+    real distinct eigenvalues reach them only at b = 0 (seed -2, ratio -1).
+    `cp`, if given, is `char_poly(a)`, already at hand in the caller.
     """
     if a.det() == 0:
         raise ValueError("matrix must be invertible")
@@ -302,18 +287,9 @@ def power_similar_identity(a: Mat2, cp: Optional[CharPoly] = None) -> Optional[P
         return PeriodResult(1, a.e00)
     if cp is None:
         cp = char_poly(a)
-    disc = cp.discriminant
-    if disc == 0:
+    order = _ORDER_BY_SEED.get(cp.seed)
+    if order is None:
         return None
-    if disc > 0:
-        if cp.b != 0:
-            return None
-        order = 2
-    else:
-        ratio_cos = (cp.b * cp.b - 2 * cp.c) / (2 * cp.c)
-        order = _ORDER_BY_COSINE.get(ratio_cos)
-        if order is None:
-            return None
     power = mat_pow(a, order)
     scalar = power.e00
     if not power.is_scalar() or scalar == 0:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product as iter_product
+from math import lcm
 from typing import Optional
 
 from mortality2x2 import Instance, Mat2
@@ -78,7 +79,8 @@ def answer_set(answer, n_max: int) -> set[int]:
         return set()
     if isinstance(answer, Finite):
         return {n for n in answer.solutions if n <= n_max}
-    assert isinstance(answer, Periodic)
+    if not isinstance(answer, Periodic):
+        raise AssertionError(f"not a ChebyshevAnswer: {answer!r}")
     residues = set(answer.residues)
     return {n for n in range(n_max + 1) if n % answer.period in residues}
 
@@ -88,7 +90,8 @@ def r_value(cp: CharPoly, k: int) -> Fraction:
     r = Fraction(0)
     for _ in range(k - 1):
         nxt = r_next(cp.b, cp.c, r)
-        assert nxt is not None, "iteration undefined; matrix has a periodic power"
+        if nxt is None:
+            raise AssertionError("iteration undefined; matrix has a periodic power")
         r = nxt
     return r
 
@@ -138,11 +141,29 @@ def exhaustive_search(instance: Instance, max_len: int) -> Optional[tuple[int, .
 
 
 def scan_pair_zeros(n_left: Mat2, v: Mat2, n_right: Mat2, k_max: int) -> set[int]:
-    """Exact scan of { k <= k_max : n_left V^k n_right == 0 }."""
+    """Exact scan of { k <= k_max : n_left V^k n_right == 0 }.
+
+    Each factor is scaled by the lcm of its denominators to a row-major
+    integer 4-tuple; nonzero constants preserve zero products exactly.
+    """
+
+    def scaled(m: Mat2) -> tuple[int, ...]:
+        entries = m.entries()
+        den = lcm(*(e.denominator for e in entries))
+        return tuple(e.numerator * (den // e.denominator) for e in entries)
+
+    def mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        return (
+            a[0] * b[0] + a[1] * b[2],
+            a[0] * b[1] + a[1] * b[3],
+            a[2] * b[0] + a[3] * b[2],
+            a[2] * b[1] + a[3] * b[3],
+        )
+
+    left_power, inner, right = scaled(n_left), scaled(v), scaled(n_right)
     zeros = set()
-    power = Mat2.identity()
     for k in range(k_max + 1):
-        if (n_left * power * n_right).is_zero():
+        if not any(mul(left_power, right)):
             zeros.add(k)
-        power = power * v
+        left_power = mul(left_power, inner)
     return zeros

@@ -345,7 +345,6 @@ def test_decide_hoists_the_per_v_and_per_member_work(monkeypatch):
         ("linalg", "char_poly"),
         ("linalg", "factor_rank_one"),
         ("spectral", "power_similar_identity"),
-        ("spectral", "eigen_ratio"),
         ("pairs", "decide_pair"),
     ):
         original = getattr(sys.modules["mortality2x2." + owner], fn_name)
@@ -364,6 +363,5 @@ def test_decide_hoists_the_per_v_and_per_member_work(monkeypatch):
         "char_poly": 1,
         "factor_rank_one": 6,
         "power_similar_identity": 1,
-        "eigen_ratio": 1,
         "decide_pair": 36,
     }

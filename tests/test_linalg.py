@@ -11,13 +11,14 @@ from mortality2x2 import Mat2, RankError
 from mortality2x2.linalg import (
     CharPoly,
     Vec2,
+    canon_int_mat,
     char_poly,
     factor_rank_one,
     is_scalar_multiple,
     mat_pow,
     outer,
-    primitive_normalize,
     rank,
+    to_int_mat,
 )
 from helpers import rand_mat
 
@@ -101,6 +102,16 @@ def test_char_poly_examples():
     assert char_poly(mat([[2, 0], [1, 1]])) == CharPoly(-3, 2)
     assert char_poly(Mat2.identity()) == CharPoly(-2, 1)
     assert char_poly(mat([[0, -1], [1, 0]])) == CharPoly(0, 1)
+    # the seed b^2/c - 2 = l1/l2 + l2/l1, None when c = 0
+    assert CharPoly(-3, 2).seed == Fraction(5, 2)  # eigenvalues 2, 1
+    assert CharPoly(-2, 1).seed == 2  # repeated eigenvalue, d = 0
+    assert CharPoly(0, 1).seed == -2  # eigenvalues +-i, ratio -1
+    assert CharPoly(-1, 1).seed == -1  # primitive sixth roots of unity, ratio of order 3
+    assert CharPoly(-1, 2).seed == Fraction(-3, 2)  # d < 0, not periodic
+    assert CharPoly(1, -2).seed == Fraction(-5, 2)  # eigenvalues 1, -2
+    assert CharPoly(Fraction(1, 2), Fraction(-3, 4)).seed == Fraction(-7, 3)
+    assert CharPoly(1, 0).seed is None
+    assert CharPoly(0, 0).seed is None
 
 
 def test_cayley_hamilton_random():
@@ -131,15 +142,17 @@ def test_mat_pow_matches_repeated_multiplication():
             stepwise = stepwise * m
 
 
+def primitive(m: Mat2) -> tuple[int, int, int, int]:
+    """The primitive normal form the oracle keys its search states by."""
+    return canon_int_mat(to_int_mat(m))
+
+
 def test_primitive_normalize_examples():
-    p, s = primitive_normalize(mat([[2, 4], [6, 8]]))
-    assert p == mat([[1, 2], [3, 4]]) and s == 2
-    p, s = primitive_normalize(mat([[Fraction(-1, 2), 0], [0, 0]]))
-    assert p == mat([[1, 0], [0, 0]]) and s == Fraction(-1, 2)
-    p, s = primitive_normalize(Mat2.identity())
-    assert p == Mat2.identity() and s == 1
+    assert primitive(mat([[2, 4], [6, 8]])) == (1, 2, 3, 4)
+    assert primitive(mat([[Fraction(-1, 2), 0], [0, 0]])) == (1, 0, 0, 0)
+    assert primitive(Mat2.identity()) == (1, 0, 0, 1)
     with pytest.raises(ValueError):
-        primitive_normalize(Mat2.zero())
+        primitive(Mat2.zero())
 
 
 @given(
@@ -149,12 +162,10 @@ def test_primitive_normalize_examples():
 @settings(max_examples=300)
 def test_primitive_normalize_idempotent_and_scale_invariant(entries, t):
     m = Mat2(*entries)
-    p, s = primitive_normalize(m)
-    assert p.scale(s) == m
-    assert all(e.denominator == 1 for e in p.entries())
+    p = primitive(m)
+    assert all(isinstance(e, int) for e in p)
+    assert is_scalar_multiple(m, Mat2(*p)) is not None
     # primitive output is its own normal form
-    p2, s2 = primitive_normalize(p)
-    assert p2 == p and s2 == 1
+    assert primitive(Mat2(*p)) == p
     # every nonzero scaling shares the representative
-    p3, _ = primitive_normalize(m.scale(t))
-    assert p3 == p
+    assert primitive(m.scale(t)) == p

@@ -129,14 +129,6 @@ def test_fuzz_compare_tiny_bound_only_defers():
     assert report.contradictions == 0
 
 
-def test_fuzz_compare_parallel_matches_serial():
-    serial = fuzz_compare(count=120, seed=12, bound=6)
-    parallel = fuzz_compare(count=120, seed=12, bound=6, workers=2)
-    assert serial.as_dict()["mortal"] == parallel.as_dict()["mortal"]
-    assert serial.as_dict()["immortal"] == parallel.as_dict()["immortal"]
-    assert serial.contradictions == parallel.contradictions == 0
-
-
 def test_fuzz_compare_validation():
     with pytest.raises(ValueError):
         fuzz_compare(count=0, seed=1)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mortality2x2 import Mat2
-from mortality2x2.linalg import CharPoly, is_scalar_multiple, mat_pow
+from mortality2x2.linalg import is_scalar_multiple, mat_pow
 from mortality2x2.spectral import (
     Empty,
     Finite,
@@ -19,7 +19,6 @@ from mortality2x2.spectral import (
     _cheb_index,
     _cheb_ladder,
     cheb_solve,
-    eigen_ratio,
     power_similar_identity,
     quad_pow,
 )
@@ -213,27 +212,3 @@ def test_quadnum_pow_matches_repeated_multiplication():
     for k in range(10):
         assert quad_pow(z, k) == acc
         acc = acc * z
-
-
-# ---------------------------------------------------------------- eigen_ratio
-
-
-def test_eigen_ratio_examples():
-    assert eigen_ratio(CharPoly(0, 1)) == QuadNum(-1, 0, -4)
-    assert eigen_ratio(CharPoly(-1, 2)) == QuadNum(Fraction(-3, 4), Fraction(-1, 4), -7)
-    assert eigen_ratio(CharPoly(-2, 1)) == QuadNum(1, -1, 0)
-    with pytest.raises(ValueError):
-        eigen_ratio(CharPoly(1, 0))
-
-
-def test_eigen_ratio_unit_norm_for_complex_pairs():
-    rng = random.Random(31337)
-    checked = 0
-    while checked < 500:
-        b = rand_rat(rng, 6, 4)
-        c = rand_rat(rng, 6, 4)
-        if c == 0 or b * b - 4 * c >= 0:
-            continue
-        checked += 1
-        rho = eigen_ratio(CharPoly(b, c))
-        assert rho.norm() == 1
