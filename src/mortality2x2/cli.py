@@ -21,7 +21,7 @@ import time
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .decider import Immortal, Instance, Mortal, Verdict, decide, verify_witness
+from .decider import Immortal, Instance, Mortal, Unknown, Verdict, decide, verify_witness
 from .linalg import Mat2
 from .oracle import EntryRange, fuzz_compare, search
 
@@ -99,32 +99,18 @@ def load_instance(path: str) -> Instance:
 
 
 def _verdict_report(verdict: Verdict, timings: dict) -> dict:
-    if isinstance(verdict, Mortal):
-        return {
-            "verdict": "mortal",
-            "witness": list(verdict.witness),
-            "exponent_witnesses": (
-                [list(verdict.exponent_witness)] if verdict.exponent_witness is not None else None
-            ),
-            "certificate": verdict.certificate,
-            "timings": timings,
-        }
-    if isinstance(verdict, Immortal):
-        return {
-            "verdict": "immortal",
-            "witness": None,
-            "exponent_witnesses": None,
-            "certificate": verdict.certificate,
-            "timings": timings,
-        }
-    return {
-        "verdict": "unknown",
-        "witness": None,
-        "exponent_witnesses": None,
+    mortal = isinstance(verdict, Mortal)
+    exponent = verdict.exponent_witness if mortal else None
+    report = {
+        "verdict": {Mortal: "mortal", Immortal: "immortal", Unknown: "unknown"}[type(verdict)],
+        "witness": list(verdict.witness) if mortal else None,
+        "exponent_witnesses": [list(exponent)] if exponent is not None else None,
         "certificate": verdict.certificate,
-        "search_bound": verdict.search_bound,
-        "timings": timings,
     }
+    if isinstance(verdict, Unknown):
+        report["search_bound"] = verdict.search_bound
+    report["timings"] = timings
+    return report
 
 
 def _emit(report: dict, as_json: bool) -> None:

@@ -87,9 +87,6 @@ class Mat2:
     def zero(cls) -> Mat2:
         return cls(0, 0, 0, 0)
 
-    def rows(self) -> tuple[tuple[Rat, Rat], tuple[Rat, Rat]]:
-        return ((self.e00, self.e01), (self.e10, self.e11))
-
     def entries(self) -> tuple[Rat, Rat, Rat, Rat]:
         return (self.e00, self.e01, self.e10, self.e11)
 

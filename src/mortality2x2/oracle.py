@@ -162,40 +162,6 @@ class FuzzReport:
         }
 
 
-def _check_one(
-    child_seed: int,
-    bound: int,
-    entry_range: EntryRange,
-    max_singulars: int,
-    invertible_probability: float,
-) -> tuple:
-    rng = random.Random(child_seed)
-    instance = random_instance(rng, entry_range, max_singulars, invertible_probability)
-    t0 = time.perf_counter()
-    verdict = decide(instance, oracle_bound=bound)
-    t1 = time.perf_counter()
-    word = search(instance, bound)
-    t2 = time.perf_counter()
-
-    kind = "unknown"
-    witness_failure = contradiction = miss = unconfirmed = False
-    if isinstance(verdict, Mortal):
-        kind = "mortal"
-        if not verify_witness(instance, verdict.witness):
-            witness_failure = True
-        elif word is None:
-            if len(verdict.witness) <= bound:
-                miss = True
-            else:
-                unconfirmed = True
-    elif isinstance(verdict, Immortal):
-        kind = "immortal"
-        contradiction = word is not None
-    elif not isinstance(verdict, Unknown):
-        raise InternalError(f"decide returned a non-verdict: {verdict!r}")
-    return (kind, witness_failure, contradiction, miss, unconfirmed, t1 - t0, t2 - t1)
-
-
 def fuzz_compare(
     count: int,
     seed: int,
@@ -217,26 +183,35 @@ def fuzz_compare(
     report = FuzzReport(count=count, seed=seed, bound=bound)
 
     for child_seed in child_seeds:
-        kind, witness_failure, contradiction, miss, unconfirmed, t_decide, t_search = _check_one(
-            child_seed, bound, entry_range, max_singulars, invertible_probability
+        instance = random_instance(
+            random.Random(child_seed), entry_range, max_singulars, invertible_probability
         )
-        if kind == "mortal":
+        t0 = time.perf_counter()
+        verdict = decide(instance, oracle_bound=bound)
+        t1 = time.perf_counter()
+        word = search(instance, bound)
+        t2 = time.perf_counter()
+        report.decide_seconds += t1 - t0
+        report.search_seconds += t2 - t1
+
+        contradictions = report.contradictions
+        if isinstance(verdict, Mortal):
             report.mortal += 1
-        elif kind == "immortal":
+            if not verify_witness(instance, verdict.witness):
+                report.witness_failures += 1
+            elif word is None:
+                if len(verdict.witness) <= bound:
+                    report.search_misses += 1
+                else:
+                    report.mortal_unconfirmed += 1
+        elif isinstance(verdict, Immortal):
             report.immortal += 1
-        else:
+            if word is not None:
+                report.immortal_contradicted += 1
+        elif isinstance(verdict, Unknown):
             report.unknown += 1
-        if witness_failure:
-            report.witness_failures += 1
-        if contradiction:
-            report.immortal_contradicted += 1
-        if miss:
-            report.search_misses += 1
-        if unconfirmed:
-            report.mortal_unconfirmed += 1
-        if witness_failure or contradiction or miss:
-            if len(report.failing_seeds) < 20:
-                report.failing_seeds.append(child_seed)
-        report.decide_seconds += t_decide
-        report.search_seconds += t_search
+        else:
+            raise InternalError(f"decide returned a non-verdict: {verdict!r}")
+        if report.contradictions > contradictions and len(report.failing_seeds) < 20:
+            report.failing_seeds.append(child_seed)
     return report

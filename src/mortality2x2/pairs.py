@@ -31,8 +31,9 @@ polynomial with its seed, and the periodicity test read off the seed -- and
 singular member together with V u.  Per pair only s0 = v_l . u_r,
 s1 = v_l . (V u_r), the scalar solve and the witness product remain, so a
 caller with many pairs over one V (`decider.decide`) builds the first two
-once and passes them in; `decide_pair` on bare matrices builds them itself
-and takes the same path.
+once and passes them in.  `decide_pair` alone builds them when they are
+missing, and it alone runs the one exact witness check, whichever branch
+named the exponent.
 
 Every returned witness exponent is confirmed by an exact product check;
 every refusal is certified by exact arithmetic.  No floating point is used.
@@ -168,40 +169,11 @@ class Prepared(NamedTuple):
     right: Endpoint
 
 
-@dataclass(frozen=True)
-class PairProblem:
-    """One exponent question with its derived scalar data."""
-
-    n_left: Mat2
-    v: Mat2
-    n_right: Mat2
-    inner: InnerAnalysis
-    recurrence: ScalarRecurrence
-
-    @property
-    def target(self) -> Optional[Rat]:
-        """x = -s1/s0, the value r_k must take; None when s0 == 0."""
-        s0 = self.recurrence.s0
-        return None if s0 == 0 else -self.recurrence.s1 / s0
-
-
-def pair_problem(
-    n_left: Mat2, v: Mat2, n_right: Mat2, prepared: Optional[Prepared] = None
-) -> PairProblem:
-    """Build the scalar reduction, from `prepared` when the caller has it.
-
-    `prepared` must hold `analyze_inner(v)`, `endpoint(n_left, v)` and
-    `endpoint(n_right, v)`; without it they are built here, which validates
-    the inputs.
-    """
-    if prepared is None:
-        left, right = endpoint(n_left, v), endpoint(n_right, v)
-        prepared = Prepared(analyze_inner(v), left, right)
+def pair_problem(prepared: Prepared) -> ScalarRecurrence:
+    """The scalar track s_k = w_l . V^k u_r of one pair, from its hoisted data."""
     inner, left, right = prepared
-    s0 = left.w.dot(right.u)
-    s1 = left.w.dot(right.vu)
     cp = inner.char
-    return PairProblem(n_left, v, n_right, inner, ScalarRecurrence(cp.b, cp.c, s0, s1))
+    return ScalarRecurrence(cp.b, cp.c, left.w.dot(right.u), left.w.dot(right.vu))
 
 
 def r_next(b: Rat, c: Rat, r_prev: Rat) -> Optional[Rat]:
@@ -309,35 +281,31 @@ def decide_pair(
     """Witness with the minimal exponent, or a certified refusal.
 
     k = 0 (the bare product N_left * N_right) is an admissible witness.
-    `prepared` carries the hoisted per-V and per-endpoint data (see
-    `pair_problem`); without it the inputs are analyzed here.
+    `prepared` must hold `analyze_inner(v)`, `endpoint(n_left, v)` and
+    `endpoint(n_right, v)`; without it they are built here, which validates
+    the inputs.  Every witness exponent passes one exact product check.
     """
-    problem = pair_problem(n_left, v, n_right, prepared)
-    recurrence = problem.recurrence
-    if recurrence.s0 == 0:
-        return _checked_witness(problem, 0)
-
-    inner = problem.inner
-    if inner.periodic is not None:
+    if prepared is None:
+        left, right = endpoint(n_left, v), endpoint(n_right, v)
+        prepared = Prepared(analyze_inner(v), left, right)
+    track = pair_problem(prepared)
+    inner = prepared.inner
+    if track.s0 == 0:
+        k = 0
+    elif inner.periodic is not None:
         # V^m = scalar * I makes zeros of s repeat with period m: scan one period.
-        hit = recurrence.first_zero(1, inner.periodic.order)
-        if hit is not None:
-            return _checked_witness(problem, hit)
-        return NoExponent(RefusalReason.PERIODIC_SCAN_EXHAUSTED)
-
-    k = solve_r_eq_x(inner.char, problem.target)
-    if k is not None:
-        return _checked_witness(problem, k)
-    disc = inner.char.discriminant
-    if disc < 0:
-        return NoExponent(RefusalReason.RATIO_EQUATION_UNSATISFIABLE)
-    if disc > 0:
-        return NoExponent(RefusalReason.ZERO_NEVER_HIT_MONOTONE)
-    return NoExponent(RefusalReason.SINGLE_CANDIDATE_FAILED)
-
-
-def _checked_witness(problem: PairProblem, k: int) -> Witness:
-    product = problem.n_left * mat_pow(problem.v, k) * problem.n_right
-    if not product.is_zero():
+        k = track.first_zero(1, inner.periodic.order)
+        if k is None:
+            return NoExponent(RefusalReason.PERIODIC_SCAN_EXHAUSTED)
+    else:
+        k = solve_r_eq_x(inner.char, -track.s1 / track.s0)
+        if k is None:
+            disc = inner.char.discriminant
+            if disc < 0:
+                return NoExponent(RefusalReason.RATIO_EQUATION_UNSATISFIABLE)
+            if disc > 0:
+                return NoExponent(RefusalReason.ZERO_NEVER_HIT_MONOTONE)
+            return NoExponent(RefusalReason.SINGLE_CANDIDATE_FAILED)
+    if not (n_left * mat_pow(v, k) * n_right).is_zero():
         raise InternalError(f"witness exponent {k} fails the exact product check")
     return Witness(k)

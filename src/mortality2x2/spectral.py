@@ -3,7 +3,9 @@
 Three pieces live here:
 
 * ``QuadNum`` -- exact arithmetic in a quadratic extension Q(sqrt(d)), with
-  ``quad_pow`` its square-and-multiply power.
+  ``quad_pow`` its square-and-multiply power.  The engine no longer uses
+  them; they stay only for their tests and the benchmark tracer, until the
+  benchmark stops naming them (ROADMAP item 3).
 * ``cheb_solve`` -- given rational p, q in [-1, 1], the exact solution set of
   T_n(p) = q over nonnegative integers n, where T_n is the degree-n Chebyshev
   polynomial of the first kind (equivalently cos(n*theta) = q when
@@ -127,17 +129,23 @@ ChebyshevAnswer = Union[Periodic, Finite, Empty]
 
 # Doubled-cosine track: t_0 = 2, t_1 = 2p, t_{n+1} = 2p t_n - t_{n-1},
 # so t_n = 2 T_n(p) and the query T_n(p) = q reads t_n = 2q.
-_PERIOD_SEARCH_LIMIT = 12
+#
+# Order m of a unit whose doubled cosine is the seed l1/l2 + l2/l1, which is
+# also the minimal period of the track with t_1 = seed (t_1 = 2 gives the
+# constant track).  By Niven's theorem these are the only integer doubled
+# cosines in [-2, 2) (a seed of 2 is d = 0), so any other seed leaves every
+# power non-scalar.
+_ORDER_BY_SEED = {-2: 2, -1: 3, 0: 4, 1: 6}
 
 
 def cheb_solve(p: Rat, q: Rat) -> ChebyshevAnswer:
     """Exact characterization of { n >= 0 : T_n(p) = q }.
 
-    When 2p is an integer (p in {0, +-1/2, +-1}) the track is periodic with
-    period dividing 12; one period is enumerated.  Otherwise, with m > 1 the
-    lowest-terms denominator of 2p, the denominator of t_n is exactly m^n,
-    which pins down a single candidate n from the denominator of 2q; the
-    candidate is confirmed exactly.  Both steps take O(log n) big-integer
+    When 2p is an integer (p in {0, +-1/2, +-1}) the track is periodic, with
+    its minimal period read from Niven's table; one period is enumerated.
+    Otherwise, with m > 1 the lowest-terms denominator of 2p, the
+    denominator of t_n is exactly m^n, which pins down a single candidate n
+    from the denominator of 2q; the candidate is confirmed exactly.  Both steps take O(log n) big-integer
     operations.
     """
     p, q = _rat(p), _rat(q)
@@ -241,15 +249,10 @@ def _cheb_ladder(a: int, m: int, n: int) -> tuple[int, int]:
 
 
 def _solve_periodic(tp: Fraction, tq: Fraction) -> ChebyshevAnswer:
+    period = _ORDER_BY_SEED.get(tp, 1)
     track = [Fraction(2), tp]
-    period = None
-    for k in range(1, _PERIOD_SEARCH_LIMIT + 1):
+    while len(track) < period:
         track.append(tp * track[-1] - track[-2])
-        if (track[k], track[k + 1]) == (track[0], track[1]):
-            period = k
-            break
-    if period is None:
-        raise InternalError("integer doubled cosine must have period <= 12")
     residues = tuple(n for n in range(period) if track[n] == tq)
     if not residues:
         return Empty()
@@ -262,12 +265,6 @@ class PeriodResult:
 
     order: int
     scalar: Rat
-
-
-# Order m of a unit whose doubled cosine is the seed l1/l2 + l2/l1.  By
-# Niven's theorem these are the only integer doubled cosines in [-2, 2) (a
-# seed of 2 is d = 0), so any other seed leaves every power non-scalar.
-_ORDER_BY_SEED = {-2: 2, -1: 3, 0: 4, 1: 6}
 
 
 def power_similar_identity(a: Mat2, cp: Optional[CharPoly] = None) -> Optional[PeriodResult]:

@@ -1,6 +1,7 @@
 """Command-line interface: file ingestion, verdict reports, exit codes."""
 
 import json
+import re
 
 import pytest
 
@@ -76,6 +77,83 @@ def test_json_reports_are_stable_modulo_timings(tmp_path, capsys):
     first.pop("timings")
     second.pop("timings")
     assert json.dumps(first) == json.dumps(second)
+
+
+MORTAL_REPORT = """{
+  "verdict": "mortal",
+  "witness": [
+    0,
+    1,
+    1,
+    1,
+    0
+  ],
+  "exponent_witnesses": [
+    [
+      0,
+      3,
+      0
+    ]
+  ],
+  "certificate": "pair-exponent",
+  "timings": {
+    "parse_ms": 0,
+    "decide_ms": 0
+  }
+}
+"""
+ZERO_MEMBER_REPORT = """{
+  "verdict": "mortal",
+  "witness": [
+    0
+  ],
+  "exponent_witnesses": null,
+  "certificate": "zero-member",
+  "timings": {
+    "parse_ms": 0,
+    "decide_ms": 0
+  }
+}
+"""
+IMMORTAL_REPORT = """{
+  "verdict": "immortal",
+  "witness": null,
+  "exponent_witnesses": null,
+  "certificate": "all-pairs-refused",
+  "timings": {
+    "parse_ms": 0,
+    "decide_ms": 0
+  }
+}
+"""
+UNKNOWN_REPORT = """{
+  "verdict": "unknown",
+  "witness": null,
+  "exponent_witnesses": null,
+  "certificate": "multiple-invertible-out-of-scope",
+  "search_bound": 5,
+  "timings": {
+    "parse_ms": 0,
+    "decide_ms": 0
+  }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "doc, golden",
+    [
+        (PLANTED, MORTAL_REPORT),
+        (ZERO, ZERO_MEMBER_REPORT),
+        (IMMORTAL, IMMORTAL_REPORT),
+        (TWO_INVERTIBLE, UNKNOWN_REPORT),
+    ],
+)
+def test_decide_json_text_is_golden(tmp_path, capsys, doc, golden):
+    # the exact bytes, key order included, with only the timing values zeroed
+    main(["decide", write(tmp_path, doc), "--json", "--oracle-bound", "5"])
+    out = re.sub(r'("(?:parse|decide)_ms": )[^,\n]+', r"\g<1>0", capsys.readouterr().out)
+    assert out == golden
 
 
 def test_verify_round_trip(tmp_path, capsys):

@@ -5,7 +5,17 @@ from collections import deque
 
 import pytest
 
-from mortality2x2 import EntryRange, Instance, InternalError, Mat2, fuzz_compare, search
+from mortality2x2 import (
+    EntryRange,
+    Immortal,
+    Instance,
+    InternalError,
+    Mat2,
+    Mortal,
+    Unknown,
+    fuzz_compare,
+    search,
+)
 from mortality2x2 import oracle
 from mortality2x2.linalg import canon_int_mat, to_int_mat
 from mortality2x2.oracle import _mul, random_instance
@@ -145,3 +155,42 @@ def test_fuzz_check_rejects_a_non_verdict(monkeypatch):
     monkeypatch.setattr(oracle, "decide", lambda instance, oracle_bound: None)
     with pytest.raises(InternalError):
         fuzz_compare(count=1, seed=0)
+
+
+def test_fuzz_report_counts_every_outcome(monkeypatch):
+    # one scripted outcome per instance, in this order, repeated: every
+    # counter moves, and the 30 failures overflow the 20-seed cap
+    cases = (
+        # (verdict, search result, verify_witness result, failure)
+        (Mortal((0, 0), "scripted"), (0, 0), False, True),  # witness failure
+        (Immortal("scripted"), (0,), True, True),  # immortal contradicted
+        (Mortal((0,) * 8, "scripted"), None, True, True),  # search miss at the bound
+        (Mortal((0,) * 9, "scripted"), None, True, False),  # beyond the bound
+        (Mortal((0, 0), "scripted"), (0, 0), True, False),
+        (Immortal("scripted"), None, True, False),
+        (Unknown(8), None, True, False),
+    )
+    calls = []
+
+    def fake_decide(instance, oracle_bound):
+        calls.append(cases[len(calls) % len(cases)])
+        return calls[-1][0]
+
+    monkeypatch.setattr(oracle, "decide", fake_decide)
+    monkeypatch.setattr(oracle, "search", lambda instance, max_len: calls[-1][1])
+    monkeypatch.setattr(oracle, "verify_witness", lambda instance, word: calls[-1][2])
+    count, seed = 10 * len(cases), 13
+    report = fuzz_compare(count=count, seed=seed, bound=8)
+
+    assert len(calls) == count
+    assert (report.mortal, report.immortal, report.unknown) == (40, 20, 10)
+    assert report.witness_failures == 10
+    assert report.immortal_contradicted == 10
+    assert report.search_misses == 10
+    assert report.mortal_unconfirmed == 10
+    assert report.contradictions == 30
+    base = random.Random(seed)
+    child_seeds = [base.getrandbits(63) for _ in range(count)]
+    failing = [s for i, s in enumerate(child_seeds) if cases[i % len(cases)][3]]
+    assert len(report.failing_seeds) == 20
+    assert report.failing_seeds == failing[:20]

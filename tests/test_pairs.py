@@ -11,10 +11,13 @@ from mortality2x2 import InternalError, Mat2, RankError
 from mortality2x2.linalg import CharPoly, Vec2, char_poly, is_scalar_multiple, mat_pow, outer
 from mortality2x2.pairs import (
     NoExponent,
+    Prepared,
     RefusalReason,
     ScalarRecurrence,
     Witness,
+    analyze_inner,
     decide_pair,
+    endpoint,
     iter_recurrence,
     pair_problem,
     r_next,
@@ -35,6 +38,10 @@ from helpers import (
 
 def mat(rows):
     return Mat2.from_rows(rows)
+
+
+def _prepared(n_left, v, n_right):
+    return Prepared(analyze_inner(v), endpoint(n_left, v), endpoint(n_right, v))
 
 
 # --------------------------------------------------------------------- r_next
@@ -234,10 +241,10 @@ def test_solve_ratio_power_validation():
 def test_decide_pair_worked_example():
     n = mat([[7, -8], [0, 0]])
     v = mat([[2, 0], [1, 1]])
-    problem = pair_problem(n, v, n)
-    assert problem.recurrence.s0 == 7
-    assert problem.recurrence.s1 == 6
-    assert problem.target == Fraction(-6, 7)
+    track = pair_problem(_prepared(n, v, n))
+    assert track.s0 == 7
+    assert track.s1 == 6
+    assert -track.s1 / track.s0 == Fraction(-6, 7)
     assert decide_pair(n, v, n) == Witness(3)
 
 
@@ -316,9 +323,8 @@ def test_scalar_track_matches_matrix_products():
         nl = rand_rank_one(rng, 3, 3)
         nr = rand_rank_one(rng, 3, 3)
         v = rand_invertible_int(rng, -3, 3)
-        problem = pair_problem(nl, v, nr)
+        track = pair_problem(_prepared(nl, v, nr))
         zeros = scan_pair_zeros(nl, v, nr, 30)
-        track = problem.recurrence
         for k, s in zip(range(31), track.terms()):
             assert (s == 0) == (k in zeros)
 
@@ -382,8 +388,8 @@ def test_decide_pair_refuses_fixed_point_target():
     v = mat([[2, 0], [1, 1]])  # eigenvectors (1, 1) and (0, 1)
     for u in (Vec2(1, 1), Vec2(0, 1)):
         n = outer(u, Vec2(1, 2))
-        problem = pair_problem(n, v, n)
-        assert problem.target in (Fraction(-1), Fraction(-2))
+        track = pair_problem(_prepared(n, v, n))
+        assert -track.s1 / track.s0 in (Fraction(-1), Fraction(-2))
         assert decide_pair(n, v, n) == NoExponent(RefusalReason.ZERO_NEVER_HIT_MONOTONE)
         assert scan_pair_zeros(n, v, n, 64) == set()
 

@@ -41,6 +41,9 @@ def test_cheb_solve_examples():
     assert cheb_solve(Fraction(1, 2), Fraction(-1, 2)) == Periodic(6, (2, 4))
     assert cheb_solve(Fraction(1, 3), Fraction(-7, 9)) == Finite((2,))
     assert cheb_solve(Fraction(1, 3), Fraction(1, 2)) == Empty()
+    # t_n = 2 once per minimal period for each integer 2p in [-2, 2]
+    for p, period in ((-1, 2), (Fraction(-1, 2), 3), (0, 4), (Fraction(1, 2), 6), (1, 1)):
+        assert cheb_solve(Fraction(p), Fraction(1)) == Periodic(period, (0,))
 
 
 def test_cheb_solve_rejects_out_of_range():
