@@ -9,11 +9,12 @@ Complete whenever the set contains at most one invertible matrix:
 * with exactly one invertible member V, every ordered pair of singular
   members (N_i, N_j) is reduced to the exponent question
   N_i V^k N_j = 0 and handed to `decide_pair`.  The work is hoisted out of
-  the n^2 pair loop: V's spectral analysis (`analyze_inner`: the
-  invertibility check, characteristic polynomial with its seed, and
-  periodicity) is done once per call, each member's rank check and
-  factorization (`endpoint`) once per member, and only the two dot
-  products, the scalar solve and any witness check once per pair;
+  the n^2 pair loop: V's analysis (`analyze_inner`: the invertibility
+  check, V's canonical primitive integer form, its characteristic
+  polynomial with the seed, and periodicity) is done once per call, each
+  member's rank check and factorization into primitive integer u, w with
+  V u (`endpoint`) once per member, and only the two integer dot products,
+  the scalar solve and any witness check once per pair;
 * with two or more invertible members the problem is out of scope; a
   bounded product search still runs and may prove mortality, otherwise
   the verdict is Unknown.
@@ -138,7 +139,7 @@ def decide(instance: Instance, oracle_bound: int = 8) -> Verdict:
     v_index = invertibles[0]
     v = mats[v_index]
     inner = analyze_inner(v)
-    ends = {i: endpoint(mats[i], v) for i in singulars}
+    ends = {i: endpoint(mats[i], inner.v) for i in singulars}
     for i in singulars:
         for j in singulars:
             verdict = decide_pair(mats[i], v, mats[j], Prepared(inner, ends[i], ends[j]))

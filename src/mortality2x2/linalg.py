@@ -1,9 +1,10 @@
-"""Exact 2x2 rational linear algebra.
+"""Exact 2x2 linear algebra.
 
 Vectors, matrices and characteristic-polynomial data over arbitrary-precision
-rationals (`fractions.Fraction`).  Every value is immutable and every
-operation is a pure function, so values can be shared freely.  No floating
-point is used anywhere.
+rationals (`fractions.Fraction`), and the primitive integer form of any tuple
+of them (`to_int_mat`, `canon_int_mat`), on which the oracle keys its states
+and the pair engine runs its per-pair arithmetic.  Every value is immutable
+and every operation is a pure function.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ class Vec2:
     def __post_init__(self) -> None:
         object.__setattr__(self, "x0", _rat(self.x0))
         object.__setattr__(self, "x1", _rat(self.x1))
+
+    def entries(self) -> tuple[Rat, Rat]:
+        return (self.x0, self.x1)
 
     def dot(self, other: Vec2) -> Rat:
         return self.x0 * other.x0 + self.x1 * other.x1
@@ -233,25 +237,28 @@ def mat_pow(m: Mat2, k: int) -> Mat2:
 
 
 IntMat = tuple[int, int, int, int]
+IntVec = tuple[int, int]
 
 
-def to_int_mat(m: Mat2) -> IntMat:
+def to_int_mat(m: Union[Mat2, Vec2]) -> tuple[int, ...]:
     """Entries of m times the lcm of their denominators, row-major."""
     entries = m.entries()
     den_lcm = lcm(*(e.denominator for e in entries))
-    return tuple(e.numerator * (den_lcm // e.denominator) for e in entries)  # type: ignore[return-value]
+    return tuple(e.numerator * (den_lcm // e.denominator) for e in entries)
 
 
-def canon_int_mat(a: IntMat) -> IntMat:
+def canon_int_mat(a: tuple[int, ...]) -> tuple[int, ...]:
     """a divided by the gcd of its entries, signed so that the first nonzero
     entry is positive; the canonical representative of a's nonzero-scaling
-    class."""
+    class, for a matrix or a vector alike."""
     g = gcd(*a)
     if g == 0:
-        raise ValueError("zero matrix has no primitive form")
+        raise ValueError("zero entries have no primitive form")
     for value in a:
         if value != 0:
             if value < 0:
                 g = -g
             break
-    return (a[0] // g, a[1] // g, a[2] // g, a[3] // g)
+    if len(a) == 4:  # unrolled: the oracle's search normalises every product it builds
+        return (a[0] // g, a[1] // g, a[2] // g, a[3] // g)
+    return tuple([value // g for value in a])

@@ -21,19 +21,19 @@ when 2p is an integer and the index is bisected, and one confirmation
 accepts it: the doubling ladder r_{2j} = (r_j^2 - c)/(2 r_j - b),
 r_{j+1} = c/(b - r_j) must give r_k = x.  That is plain rational equality,
 so it also holds when d is a perfect square, and it refuses the conjugate
-solution rho^k = conj(tau), which is r_{-k} = x.  The zero discriminant uses the closed form
-r_k = (k-1) b / (2k), solved linearly.
+solution rho^k = conj(tau), which is r_{-k} = x.  The zero discriminant
+uses the closed form r_k = (k-1) b / (2k), solved linearly.
 
-The work is split by what it depends on.  `analyze_inner` does everything
-that depends on V alone -- the invertibility check, the characteristic
-polynomial with its seed, and the periodicity test read off the seed -- and
-`endpoint` does the rank check and the factorization N = u v^T of one
-singular member together with V u.  Per pair only s0 = v_l . u_r,
-s1 = v_l . (V u_r), the scalar solve and the witness product remain, so a
-caller with many pairs over one V (`decider.decide`) builds the first two
-once and passes them in.  `decide_pair` alone builds them when they are
-missing, and it alone runs the one exact witness check, whichever branch
-named the exponent.
+Since N (tV)^k M = t^k N V^k M, scaling a member changes nothing, so the
+work runs on primitive integer forms.  `analyze_inner` does everything that
+depends on V alone -- the invertibility check, V's canonical integer form,
+its characteristic polynomial with the seed, and the periodicity test --
+and `endpoint` factors one singular member as N = u v^T with primitive
+integer u, v and V u.  Per pair only the integer dot products
+s0 = v_l . u_r, s1 = v_l . (V u_r), the scalar solve and the witness check
+remain, so `decider.decide` builds the first two once and passes them in.
+`decide_pair` alone builds them when they are missing, and it alone runs
+the exact witness check `is_witness`, whichever branch named the exponent.
 
 Every returned witness exponent is confirmed by an exact product check;
 every refusal is certified by exact arithmetic.  No floating point is used.
@@ -44,19 +44,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .linalg import (
-    CharPoly,
-    InternalError,
-    Mat2,
-    RankError,
-    Rat,
-    Vec2,
-    char_poly,
-    factor_rank_one,
-    mat_pow,
-    rank,
+    CharPoly, IntMat, IntVec, InternalError, Mat2, Rat, RatLike,
+    canon_int_mat, char_poly, factor_rank_one, mat_pow, to_int_mat,
 )
 from .spectral import PeriodResult, _cheb_index, power_similar_identity
 
@@ -89,14 +82,15 @@ PairVerdict = Union[Witness, NoExponent]
 
 @dataclass(frozen=True)
 class ScalarRecurrence:
-    """s_{k+2} = -b s_{k+1} - c s_k with initial terms s0, s1."""
+    """s_{k+2} = -b s_{k+1} - c s_k with initial terms s0, s1, all `int`s
+    when `pair_problem` builds it."""
 
-    b: Rat
-    c: Rat
-    s0: Rat
-    s1: Rat
+    b: RatLike
+    c: RatLike
+    s0: RatLike
+    s1: RatLike
 
-    def terms(self) -> Iterator[Rat]:
+    def terms(self) -> Iterator[RatLike]:
         prev, cur = self.s0, self.s1
         while True:
             yield prev
@@ -104,12 +98,7 @@ class ScalarRecurrence:
 
     def first_zero(self, lo: int, hi: int) -> Optional[int]:
         """Smallest k in [lo, hi) with s_k == 0, or None."""
-        for i, value in enumerate(self.terms()):
-            if i >= hi:
-                return None
-            if i >= lo and value == 0:
-                return i
-        raise AssertionError("unreachable")
+        return next((k for k, s in zip(range(hi), self.terms()) if k >= lo and s == 0), None)
 
 
 @dataclass(frozen=True)
@@ -124,41 +113,48 @@ class RecurrenceState:
 class InnerAnalysis:
     """What every pair question over one invertible V shares.
 
-    `char` carries the discriminant and the seed that the power equation
-    reads; `periodic` is the minimal m with V^m a scalar matrix, when one
-    exists.
+    `v` is V's canonical primitive integer form and `char` its characteristic
+    polynomial, with integer b and c, the discriminant and the seed;
+    `periodic` is the minimal m with V^m a scalar matrix, when one exists.
     """
 
+    v: IntMat
     char: CharPoly
     periodic: Optional[PeriodResult]
 
 
 def analyze_inner(v: Mat2) -> InnerAnalysis:
-    """Check that V is invertible and derive its spectral data once."""
+    """Check that V is invertible, canonicalise it and derive its spectral data once."""
     if v.det() == 0:
         raise ValueError("inner matrix must be invertible")
+    canon = canon_int_mat(to_int_mat(v))
+    v = Mat2(*canon)
     cp = char_poly(v)
-    return InnerAnalysis(cp, power_similar_identity(v, cp))
+    return InnerAnalysis(canon, cp, power_similar_identity(v, cp))
 
 
 @dataclass(frozen=True)
 class Endpoint:
     """A rank-1 member N = u w^T with V u, ready to close either end of a pair.
 
+    All three are integer vectors, u and w primitive, V u on the canonical V.
     The left end of a pair uses the row factor w, the right end u and V u.
     """
 
-    u: Vec2
-    w: Vec2
-    vu: Vec2
+    u: IntVec
+    w: IntVec
+    vu: IntVec
 
 
-def endpoint(n: Mat2, v: Mat2) -> Endpoint:
-    """Check that N has rank 1 and factor it once for every pair it ends."""
-    if rank(n) != 1:
-        raise RankError("pair endpoint must have rank 1")
-    u, w = factor_rank_one(n)
-    return Endpoint(u, w, v.mul_vec(u))
+def endpoint(n: Mat2, v: IntMat) -> Endpoint:
+    """Check that N has rank 1 and factor it once for every pair it ends.
+
+    `v` is `InnerAnalysis.v`; u leads with 1, so clearing its denominators
+    already makes it primitive.
+    """
+    u, w = factor_rank_one(n)  # raises RankError unless N has rank 1
+    u0, u1 = to_int_mat(u)
+    return Endpoint((u0, u1), canon_int_mat(to_int_mat(w)), (v[0] * u0 + v[1] * u1, v[2] * u0 + v[3] * u1))
 
 
 class Prepared(NamedTuple):
@@ -170,10 +166,11 @@ class Prepared(NamedTuple):
 
 
 def pair_problem(prepared: Prepared) -> ScalarRecurrence:
-    """The scalar track s_k = w_l . V^k u_r of one pair, from its hoisted data."""
+    """The integer scalar track s_k = w_l . V^k u_r of one pair, from its hoisted data."""
     inner, left, right = prepared
     cp = inner.char
-    return ScalarRecurrence(cp.b, cp.c, left.w.dot(right.u), left.w.dot(right.vu))
+    (w0, w1), (u0, u1), (vu0, vu1) = left.w, right.u, right.vu
+    return ScalarRecurrence(cp.b.numerator, cp.c.numerator, w0 * u0 + w1 * u1, w0 * vu0 + w1 * vu1)
 
 
 def r_next(b: Rat, c: Rat, r_prev: Rat) -> Optional[Rat]:
@@ -230,43 +227,48 @@ def solve_r_eq_x(cp: CharPoly, x: Rat) -> Optional[int]:
     accepted only if r_k == x exactly.  A fixed point x of the Moebius map,
     (2x - b)^2 = d, is never attained: for d != 0 it is N(a) = 0 and needs a
     square d, for d = 0 it is the limit b/2.  The zero discriminant uses the
-    closed form.
+    closed form.  Scaling V by t maps (b, c, x) to (t b, t^2 c, t x) and keeps
+    k, so a rational `cp` is first cleared to integer b and c.
     """
-    b, c = cp.b, cp.c
-    if c == 0:
+    if cp.c == 0:
         raise ValueError("c must be nonzero (invertible matrix)")
-    if b == 0:
+    if cp.b == 0:
         raise ValueError("b = 0 makes V^2 scalar, which is periodic; handle via power_similar_identity")
-    x = Fraction(x)
-    disc = cp.discriminant
-    # With s0 = 1, s1 = -x and z = 2x - b, a = (z + sqrt(d))/(2 sqrt(d)) has
-    # N(a) = (d - z^2)/(4d), and only the rational part of
-    # tau = -conj(a)^2/N(a) is needed: 2 tau.re = 2(z^2 + d)/(z^2 - d),
-    # written 2 + 4d/(z^2 - d) so that every gcd has a small operand.
-    z_sq = (2 * x - b) ** 2
-    if z_sq == disc:
+    t = lcm(cp.b.denominator, cp.c.denominator)
+    b, c = cp.b.numerator * (t // cp.b.denominator), cp.c.numerator * (t * t // cp.c.denominator)
+    xn, xd = x.numerator, x.denominator
+    if t > 1:
+        g = gcd(t, xd)
+        xn, xd = xn * (t // g), xd // g
+    disc = b * b - 4 * c
+    # z = 2x - b = zn/zd in lowest terms, as gcd(2 xn - b xd, xd) = gcd(2, xd)
+    zn, zd = (2 * xn - b * xd, xd) if xd % 2 else (xn - b * (xd // 2), xd // 2)
+    zn_sq, zd_sq = zn * zn, zd * zd
+    if zn_sq == disc * zd_sq:
         return None  # a fixed point of the Moebius map, never attained
     if disc == 0:
-        # closed form r_k = (k-1) b / (2k); b != 0 since c = b^2/4 != 0
-        k = b / (b - 2 * x)
-        if k.denominator != 1 or k < 1:
-            return None
-        return int(k)
-    k = _cheb_index(cp.seed, 2 + 4 * disc / (z_sq - disc))
-    if k is None or k < 1 or _r_term(b, c, k) != x:
+        # closed form r_k = (k-1) b / (2k), so k = b/(b - 2x) = -b zd/zn
+        k, rest = divmod(-b * zd, zn)
+        return k if rest == 0 and k >= 1 else None
+    # With s0 = 1, s1 = -x, a = (z + sqrt(d))/(2 sqrt(d)) has N(a) = (d - z^2)/(4d),
+    # and only the rational part of tau = -conj(a)^2/N(a) is needed:
+    # 2 tau.re = 2 + 4d zd^2/(zn^2 - d zd^2), where zd is prime to the
+    # denominator, so the one gcd has the small operand 4d.
+    den = zn_sq - disc * zd_sq
+    g = gcd(4 * disc, den) if den > 0 else -gcd(4 * disc, den)
+    den //= g
+    k = _cheb_index(cp.seed, (2 * den + 4 * disc // g * zd_sq, den))
+    if k is None or k < 1:
         return None
-    return k
+    r = _r_term(b, c, k)
+    return k if (r.numerator, r.denominator) == (xn, xd) else None
 
 
 def solve_ratio_power(cp: CharPoly, s0: Rat, s1: Rat) -> Optional[int]:
     """Smallest k >= 1 with s_k == 0 in the complex-eigenvalue regime, or None.
 
-    With eigenvalues l1, l2 (conjugates over d = b^2 - 4c < 0), writing
-    s_k = a l1^k + conj(a) l2^k, the zero condition is rho^k = tau for
-    rho = l1/l2 and tau = -conj(a)/a.  Since rho is not a root of unity
-    here, at most one k exists; it is r_k = -s1/s0, found from the seed
-    b^2/c - 2 = 2 Re(rho) by the same index search and r_k ladder as for a
-    real rho (`solve_r_eq_x`), which rejects a periodic rho with ValueError.
+    There the zero condition rho^k = tau has at most one solution, r_k =
+    -s1/s0, found by `solve_r_eq_x`, which rejects a periodic rho.
     """
     if cp.discriminant >= 0:
         raise ValueError("requires complex eigenvalues (negative discriminant)")
@@ -275,19 +277,35 @@ def solve_ratio_power(cp: CharPoly, s0: Rat, s1: Rat) -> Optional[int]:
     return solve_r_eq_x(cp, -Fraction(s1) / s0)
 
 
+def is_witness(n_left: Mat2, inner: InnerAnalysis, n_right: Mat2, k: int) -> bool:
+    """N_left V^k N_right == 0, by one exact product on the canonical V.
+
+    For d = 0, V^k = lam^(k-1) (k V - (k-1) lam I) with lam = -b/2 != 0, so
+    the test reads N_left (2k V + (k-1) b I) N_right == 0 on O(log k)-bit
+    numbers, however large k is; otherwise V^k is powered out.
+    """
+    v = Mat2(*inner.v)
+    if inner.char.discriminant == 0:
+        power = v.scale(2 * k) + Mat2.identity().scale((k - 1) * inner.char.b)
+    else:
+        power = mat_pow(v, k)
+    return (n_left * power * n_right).is_zero()
+
+
 def decide_pair(
     n_left: Mat2, v: Mat2, n_right: Mat2, prepared: Optional[Prepared] = None
 ) -> PairVerdict:
     """Witness with the minimal exponent, or a certified refusal.
 
     k = 0 (the bare product N_left * N_right) is an admissible witness.
-    `prepared` must hold `analyze_inner(v)`, `endpoint(n_left, v)` and
-    `endpoint(n_right, v)`; without it they are built here, which validates
-    the inputs.  Every witness exponent passes one exact product check.
+    `prepared` must hold `inner = analyze_inner(v)`, `endpoint(n_left,
+    inner.v)` and `endpoint(n_right, inner.v)`; without it they are built
+    here, which validates the inputs.  Every witness exponent passes the
+    exact product check `is_witness`.
     """
     if prepared is None:
-        left, right = endpoint(n_left, v), endpoint(n_right, v)
-        prepared = Prepared(analyze_inner(v), left, right)
+        inner = analyze_inner(v)
+        prepared = Prepared(inner, endpoint(n_left, inner.v), endpoint(n_right, inner.v))
     track = pair_problem(prepared)
     inner = prepared.inner
     if track.s0 == 0:
@@ -298,7 +316,7 @@ def decide_pair(
         if k is None:
             return NoExponent(RefusalReason.PERIODIC_SCAN_EXHAUSTED)
     else:
-        k = solve_r_eq_x(inner.char, -track.s1 / track.s0)
+        k = solve_r_eq_x(inner.char, Fraction(-track.s1, track.s0))
         if k is None:
             disc = inner.char.discriminant
             if disc < 0:
@@ -306,6 +324,6 @@ def decide_pair(
             if disc > 0:
                 return NoExponent(RefusalReason.ZERO_NEVER_HIT_MONOTONE)
             return NoExponent(RefusalReason.SINGLE_CANDIDATE_FAILED)
-    if not (n_left * mat_pow(v, k) * n_right).is_zero():
+    if not is_witness(n_left, inner, n_right, k):
         raise InternalError(f"witness exponent {k} fails the exact product check")
     return Witness(k)

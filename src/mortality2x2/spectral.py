@@ -155,17 +155,18 @@ def cheb_solve(p: Rat, q: Rat) -> ChebyshevAnswer:
     tq = 2 * q
     if tp.denominator == 1:
         return _solve_periodic(tp, tq)
-    n = _cheb_index(tp, tq)
+    n = _cheb_index(tp, (tq.numerator, tq.denominator))
     if n is None:
         return Empty()
     return Finite((n,))
 
 
-def _cheb_index(tp: Fraction, tq: Fraction) -> Optional[int]:
+def _cheb_index(tp: Fraction, tq: tuple[int, int]) -> Optional[int]:
     """The n >= 0 with t_n == tq on the track of t_1 = tp, or None.
 
-    The track must not repeat, which holds in two cases, each giving at most
-    one candidate n:
+    tq is given as (numerator, positive denominator) in lowest terms.  The
+    track must not repeat, which holds in two cases, each giving at most one
+    candidate n:
 
     * m = den(tp) > 1: writing tp = a/m, the numerator of t_n stays prime to
       m (it is a^n mod any prime of m), so den(t_n) = m^n exactly, whatever
@@ -178,16 +179,17 @@ def _cheb_index(tp: Fraction, tq: Fraction) -> Optional[int]:
     The candidate is confirmed by one exact evaluation of t_n.
     """
     a, m = tp.numerator, tp.denominator
+    tq_num, tq_den = tq
     if m > 1:
-        n = _power_exponent(tq.denominator, m)
+        n = _power_exponent(tq_den, m)
         if n is None:
             return None
     else:
         if abs(a) <= 2:
             raise ValueError("an integer doubled cosine in [-2, 2] gives a periodic track")
-        if tq.denominator != 1 or abs(tq) < 2:
+        if tq_den != 1 or abs(tq_num) < 2:
             return None
-        bound = abs(tq.numerator)
+        bound = abs(tq_num)
         lo, hi, t_hi = 0, 1, a
         while abs(t_hi) <= bound:
             lo, hi, t_hi = hi, 2 * hi, t_hi * t_hi - 2
@@ -200,7 +202,7 @@ def _cheb_index(tp: Fraction, tq: Fraction) -> Optional[int]:
                 hi = mid
         n = lo
     num, den = _cheb_ladder(a, m, n)
-    if num * tq.denominator == tq.numerator * den:
+    if num * tq_den == tq_num * den:
         return n
     return None
 

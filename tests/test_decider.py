@@ -215,7 +215,7 @@ def test_scaling_members_never_changes_the_verdict():
                 t = rand_rat(rng, 3, 3)
             scaled_members.append(m.scale(t))
         scaled = Instance(tuple(scaled_members))
-        assert isinstance(decide(inst), Mortal) == isinstance(decide(scaled), Mortal)
+        assert decide(inst) == decide(scaled)
 
 
 def test_every_mortal_verdict_verifies():
@@ -245,6 +245,8 @@ LOOP_REGIMES = {
     "pos_nonsquare": (mat([[2, 1], [1, 1]]), None),
     "pos_nonsquare_fractional_2p": (mat([[1, 2], [3, 1]]), None),
     "negative": (mat([[1, -2], [1, 0]]), None),
+    "negative_fractional": (mat([[Fraction(1, 3), Fraction(-2, 3)], [Fraction(1, 3), 0]]), None),
+    "pos_nonsquare_scaled": (mat([[2, 1], [1, 1]]).scale(Fraction(-2, 5)), None),
     "zero": (mat([[1, 1], [0, 1]]), None),
     "zero_scaled": (mat([[2, 1], [0, 2]]), None),
 }
@@ -324,7 +326,7 @@ def test_prepared_pairs_match_bare_pairs(name):
     inner = analyze_inner(v)
     for inst in _loop_instances(name, count=4):
         singulars = [inst.matrices[i] for i in inst.singular_indices]
-        ends = [endpoint(n, v) for n in singulars]
+        ends = [endpoint(n, inner.v) for n in singulars]
         for left, n_left in zip(ends, singulars):
             for right, n_right in zip(ends, singulars):
                 bare = decide_pair(n_left, v, n_right)
@@ -343,6 +345,7 @@ def test_decide_hoists_the_per_v_and_per_member_work(monkeypatch):
     modules = [m for name, m in sys.modules.items() if name.startswith("mortality2x2")]
     for owner, fn_name in (
         ("linalg", "char_poly"),
+        ("linalg", "canon_int_mat"),
         ("linalg", "factor_rank_one"),
         ("spectral", "power_similar_identity"),
         ("pairs", "decide_pair"),
@@ -361,6 +364,7 @@ def test_decide_hoists_the_per_v_and_per_member_work(monkeypatch):
     assert decide(inst) == Immortal(IMMORTAL_PAIRS_REFUSED)
     assert calls == {
         "char_poly": 1,
+        "canon_int_mat": 1 + 6,  # once for V, once per member
         "factor_rank_one": 6,
         "power_similar_identity": 1,
         "decide_pair": 36,

@@ -2,6 +2,7 @@
 complex-eigenvalue entry point, and the pair decision with its certificates."""
 
 import random
+import time
 from fractions import Fraction
 from math import isqrt
 
@@ -18,6 +19,7 @@ from mortality2x2.pairs import (
     analyze_inner,
     decide_pair,
     endpoint,
+    is_witness,
     iter_recurrence,
     pair_problem,
     r_next,
@@ -41,7 +43,8 @@ def mat(rows):
 
 
 def _prepared(n_left, v, n_right):
-    return Prepared(analyze_inner(v), endpoint(n_left, v), endpoint(n_right, v))
+    inner = analyze_inner(v)
+    return Prepared(inner, endpoint(n_left, inner.v), endpoint(n_right, inner.v))
 
 
 # --------------------------------------------------------------------- r_next
@@ -244,7 +247,7 @@ def test_decide_pair_worked_example():
     track = pair_problem(_prepared(n, v, n))
     assert track.s0 == 7
     assert track.s1 == 6
-    assert -track.s1 / track.s0 == Fraction(-6, 7)
+    assert Fraction(-track.s1, track.s0) == Fraction(-6, 7)
     assert decide_pair(n, v, n) == Witness(3)
 
 
@@ -389,7 +392,7 @@ def test_decide_pair_refuses_fixed_point_target():
     for u in (Vec2(1, 1), Vec2(0, 1)):
         n = outer(u, Vec2(1, 2))
         track = pair_problem(_prepared(n, v, n))
-        assert -track.s1 / track.s0 in (Fraction(-1), Fraction(-2))
+        assert Fraction(-track.s1, track.s0) in (Fraction(-1), Fraction(-2))
         assert decide_pair(n, v, n) == NoExponent(RefusalReason.ZERO_NEVER_HIT_MONOTONE)
         assert scan_pair_zeros(n, v, n, 64) == set()
 
@@ -403,3 +406,31 @@ def test_witness_check_survives_a_wrong_power(monkeypatch):
     monkeypatch.setattr(pairs, "mat_pow", lambda m, k: real_pow(m, k + 1))
     with pytest.raises(InternalError):
         decide_pair(n, v, n)
+
+
+def test_zero_discriminant_witness_check_needs_no_power():
+    # d = 0: with u = (1, 0) and w = (-12k, 1), s_j = 12 (j - k) first
+    # vanishes at j = k, far past any power of V that could be multiplied out
+    k = 2**35 + 37
+    v = mat([[1, 0], [12, 1]])
+    n = mat([[-12 * k, 1], [0, 0]])
+    start = time.perf_counter()
+    assert decide_pair(n, v, n) == Witness(k)
+    assert time.perf_counter() - start < 1
+    inner = analyze_inner(v)
+    assert is_witness(n, inner, n, k)
+    assert not is_witness(n, inner, n, k - 1)
+    assert not is_witness(n, inner, n, k + 1)
+
+
+def test_witness_check_matches_powering():
+    # the d = 0 shortcut and the powered product agree at every small k,
+    # also on a rational V whose canonical form is a multiple of it
+    rng = random.Random(80)
+    for v in (mat([[1, 1], [0, 1]]), mat([[Fraction(2, 3), Fraction(1, 3)], [0, Fraction(2, 3)]]),
+              mat([[3, -1], [1, 1]]), mat([[2, 1], [1, 1]])):
+        inner = analyze_inner(v)
+        for _ in range(20):
+            nl, nr = rand_rank_one(rng, 3, 3), rand_rank_one(rng, 3, 3)
+            for k in range(12):
+                assert is_witness(nl, inner, nr, k) == (nl * mat_pow(v, k) * nr).is_zero()
