@@ -1,10 +1,11 @@
 """Exact 2x2 linear algebra.
 
 Vectors, matrices and characteristic-polynomial data over arbitrary-precision
-rationals (`fractions.Fraction`), and the primitive integer form of any tuple
-of them (`to_int_mat`, `canon_int_mat`), on which the oracle keys its states
-and the pair engine runs its per-pair arithmetic.  Every value is immutable
-and every operation is a pure function.  No floating point is used anywhere.
+rationals (`fractions.Fraction`), a matrix's integer form (`to_int_mat`) and
+the primitive form of any integer tuple (`canon_int_mat`), on which the
+oracle keys its states and the pair engine runs its per-pair arithmetic.
+Every value is immutable and every operation is a pure function.  No
+floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -44,9 +45,6 @@ class Vec2:
     def __post_init__(self) -> None:
         object.__setattr__(self, "x0", _rat(self.x0))
         object.__setattr__(self, "x1", _rat(self.x1))
-
-    def entries(self) -> tuple[Rat, Rat]:
-        return (self.x0, self.x1)
 
     def dot(self, other: Vec2) -> Rat:
         return self.x0 * other.x0 + self.x1 * other.x1
@@ -240,8 +238,8 @@ IntMat = tuple[int, int, int, int]
 IntVec = tuple[int, int]
 
 
-def to_int_mat(m: Union[Mat2, Vec2]) -> tuple[int, ...]:
-    """Entries of m times the lcm of their denominators, row-major."""
+def to_int_mat(m: Mat2) -> IntMat:
+    """Entries of the matrix m times the lcm of their denominators, row-major."""
     entries = m.entries()
     den_lcm = lcm(*(e.denominator for e in entries))
     return tuple(e.numerator * (den_lcm // e.denominator) for e in entries)

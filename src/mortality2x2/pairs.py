@@ -25,12 +25,13 @@ solution rho^k = conj(tau), which is r_{-k} = x.  The zero discriminant
 uses the closed form r_k = (k-1) b / (2k), solved linearly.
 
 Since N (tV)^k M = t^k N V^k M, scaling a member changes nothing, so the
-work runs on primitive integer forms.  `analyze_inner` does everything that
-depends on V alone -- the invertibility check, V's canonical integer form,
-its characteristic polynomial with the seed, and the periodicity test --
-and `endpoint` factors one singular member as N = u v^T with primitive
-integer u, v and V u.  Per pair only the integer dot products
-s0 = v_l . u_r, s1 = v_l . (V u_r), the scalar solve and the witness check
+work runs on primitive integer forms, and every member enters through its
+integer form `to_int_mat`.  `analyze_inner` does what depends on V alone --
+the invertibility check, V's canonical form, its characteristic polynomial
+with integer b, c and the seed, and the periodicity test -- and `endpoint`
+reads a singular member's rank test, primitive column u, primitive row w
+and V u off its form.  Per pair only the integer dot products
+s0 = w_l . u_r, s1 = w_l . (V u_r), the scalar solve and the witness check
 remain, so `decider.decide` builds the first two once and passes them in.
 `decide_pair` alone builds them when they are missing, and it alone runs
 the exact witness check `is_witness`, whichever branch named the exponent.
@@ -49,15 +50,15 @@ from typing import Iterator, NamedTuple, Optional, Union
 
 from .linalg import (
     CharPoly, IntMat, IntVec, InternalError, Mat2, Rat, RatLike,
-    canon_int_mat, char_poly, factor_rank_one, mat_pow, to_int_mat,
+    RankError, canon_int_mat, char_poly, mat_pow, to_int_mat,
 )
 from .spectral import PeriodResult, _cheb_index, power_similar_identity
 
 
 class RefusalReason(str, enum.Enum):
-    """Certificate kinds for a refused exponent search."""
+    """Certificate kinds for a refused exponent search, named by how it failed:
+    the periodic scan, the d = 0 single candidate, or the power equation."""
 
-    ZERO_NEVER_HIT_MONOTONE = "zero-never-hit-monotone"
     SINGLE_CANDIDATE_FAILED = "single-candidate-failed"
     PERIODIC_SCAN_EXHAUSTED = "periodic-scan-exhausted"
     RATIO_EQUATION_UNSATISFIABLE = "ratio-equation-unsatisfiable"
@@ -124,10 +125,11 @@ class InnerAnalysis:
 
 
 def analyze_inner(v: Mat2) -> InnerAnalysis:
-    """Check that V is invertible, canonicalise it and derive its spectral data once."""
-    if v.det() == 0:
+    """Test V's integer form for invertibility, canonicalise it and derive its spectral data once."""
+    a = to_int_mat(v)
+    if a[0] * a[3] == a[1] * a[2]:
         raise ValueError("inner matrix must be invertible")
-    canon = canon_int_mat(to_int_mat(v))
+    canon = canon_int_mat(a)
     v = Mat2(*canon)
     cp = char_poly(v)
     return InnerAnalysis(canon, cp, power_similar_identity(v, cp))
@@ -135,10 +137,11 @@ def analyze_inner(v: Mat2) -> InnerAnalysis:
 
 @dataclass(frozen=True)
 class Endpoint:
-    """A rank-1 member N = u w^T with V u, ready to close either end of a pair.
+    """A rank-1 member N, a multiple of u w^T, with V u: an end of any pair.
 
-    All three are integer vectors, u and w primitive, V u on the canonical V.
-    The left end of a pair uses the row factor w, the right end u and V u.
+    All three are integer vectors, u and w primitive with first nonzero entry
+    positive, V u on the canonical V.  The left end of a pair uses the row
+    factor w, the right end u and V u.
     """
 
     u: IntVec
@@ -149,12 +152,15 @@ class Endpoint:
 def endpoint(n: Mat2, v: IntMat) -> Endpoint:
     """Check that N has rank 1 and factor it once for every pair it ends.
 
-    `v` is `InnerAnalysis.v`; u leads with 1, so clearing its denominators
-    already makes it primitive.
+    On N's integer form: its first nonzero column and row, made primitive,
+    are u and w.  `v` is `InnerAnalysis.v`.
     """
-    u, w = factor_rank_one(n)  # raises RankError unless N has rank 1
-    u0, u1 = to_int_mat(u)
-    return Endpoint((u0, u1), canon_int_mat(to_int_mat(w)), (v[0] * u0 + v[1] * u1, v[2] * u0 + v[3] * u1))
+    a = to_int_mat(n)
+    if a == (0, 0, 0, 0) or a[0] * a[3] != a[1] * a[2]:
+        raise RankError("endpoint requires a rank-1 matrix")
+    u0, u1 = canon_int_mat((a[0], a[2]) if a[0] or a[2] else (a[1], a[3]))
+    w = canon_int_mat(a[:2] if a[0] or a[1] else a[2:])
+    return Endpoint((u0, u1), w, (v[0] * u0 + v[1] * u1, v[2] * u0 + v[3] * u1))
 
 
 class Prepared(NamedTuple):
@@ -227,19 +233,17 @@ def solve_r_eq_x(cp: CharPoly, x: Rat) -> Optional[int]:
     accepted only if r_k == x exactly.  A fixed point x of the Moebius map,
     (2x - b)^2 = d, is never attained: for d != 0 it is N(a) = 0 and needs a
     square d, for d = 0 it is the limit b/2.  The zero discriminant uses the
-    closed form.  Scaling V by t maps (b, c, x) to (t b, t^2 c, t x) and keeps
-    k, so a rational `cp` is first cleared to integer b and c.
+    closed form.  `cp` must have integer b and c, as `analyze_inner` builds
+    it on the canonical V; a rational one raises `ValueError`.
     """
     if cp.c == 0:
         raise ValueError("c must be nonzero (invertible matrix)")
     if cp.b == 0:
         raise ValueError("b = 0 makes V^2 scalar, which is periodic; handle via power_similar_identity")
-    t = lcm(cp.b.denominator, cp.c.denominator)
-    b, c = cp.b.numerator * (t // cp.b.denominator), cp.c.numerator * (t * t // cp.c.denominator)
+    if cp.b.denominator != 1 or cp.c.denominator != 1:
+        raise ValueError("b and c must be integers; scale V to an integer matrix first")
+    b, c = cp.b.numerator, cp.c.numerator
     xn, xd = x.numerator, x.denominator
-    if t > 1:
-        g = gcd(t, xd)
-        xn, xd = xn * (t // g), xd // g
     disc = b * b - 4 * c
     # z = 2x - b = zn/zd in lowest terms, as gcd(2 xn - b xd, xd) = gcd(2, xd)
     zn, zd = (2 * xn - b * xd, xd) if xd % 2 else (xn - b * (xd // 2), xd // 2)
@@ -268,13 +272,15 @@ def solve_ratio_power(cp: CharPoly, s0: Rat, s1: Rat) -> Optional[int]:
     """Smallest k >= 1 with s_k == 0 in the complex-eigenvalue regime, or None.
 
     There the zero condition rho^k = tau has at most one solution, r_k =
-    -s1/s0, found by `solve_r_eq_x`, which rejects a periodic rho.
+    -s1/s0, found by `solve_r_eq_x`, which rejects a periodic rho, on V scaled
+    by the lcm t of b's and c's denominators: (t b, t^2 c, t x) keeps k.
     """
     if cp.discriminant >= 0:
         raise ValueError("requires complex eigenvalues (negative discriminant)")
     if s0 == 0:
         raise ValueError("s0 must be nonzero (handled upstream as an immediate witness)")
-    return solve_r_eq_x(cp, -Fraction(s1) / s0)
+    t = lcm(cp.b.denominator, cp.c.denominator)
+    return solve_r_eq_x(CharPoly(t * cp.b, t * t * cp.c), -t * Fraction(s1) / s0)
 
 
 def is_witness(n_left: Mat2, inner: InnerAnalysis, n_right: Mat2, k: int) -> bool:
@@ -301,7 +307,8 @@ def decide_pair(
     `prepared` must hold `inner = analyze_inner(v)`, `endpoint(n_left,
     inner.v)` and `endpoint(n_right, inner.v)`; without it they are built
     here, which validates the inputs.  Every witness exponent passes the
-    exact product check `is_witness`.
+    exact product check `is_witness`.  Off the periodic scan a refusal names
+    the solve: `SINGLE_CANDIDATE_FAILED` at d = 0, else `RATIO_EQUATION_UNSATISFIABLE`.
     """
     if prepared is None:
         inner = analyze_inner(v)
@@ -318,12 +325,9 @@ def decide_pair(
     else:
         k = solve_r_eq_x(inner.char, Fraction(-track.s1, track.s0))
         if k is None:
-            disc = inner.char.discriminant
-            if disc < 0:
-                return NoExponent(RefusalReason.RATIO_EQUATION_UNSATISFIABLE)
-            if disc > 0:
-                return NoExponent(RefusalReason.ZERO_NEVER_HIT_MONOTONE)
-            return NoExponent(RefusalReason.SINGLE_CANDIDATE_FAILED)
+            if inner.char.discriminant == 0:
+                return NoExponent(RefusalReason.SINGLE_CANDIDATE_FAILED)
+            return NoExponent(RefusalReason.RATIO_EQUATION_UNSATISFIABLE)
     if not is_witness(n_left, inner, n_right, k):
         raise InternalError(f"witness exponent {k} fails the exact product check")
     return Witness(k)

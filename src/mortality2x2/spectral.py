@@ -58,15 +58,6 @@ class QuadNum:
         self._check(other)
         return QuadNum(self.re + other.re, self.im + other.im, self.d)
 
-    def __sub__(self, other: QuadNum) -> QuadNum:
-        if not isinstance(other, QuadNum):
-            return NotImplemented
-        self._check(other)
-        return QuadNum(self.re - other.re, self.im - other.im, self.d)
-
-    def __neg__(self) -> QuadNum:
-        return QuadNum(-self.re, -self.im, self.d)
-
     def __mul__(self, other: QuadNum) -> QuadNum:
         if not isinstance(other, QuadNum):
             return NotImplemented
@@ -95,9 +86,6 @@ class QuadNum:
     def norm(self) -> Rat:
         """Field norm re^2 - d * im^2; multiplicative."""
         return self.re * self.re - self.d * self.im * self.im
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
 
 
 def quad_pow(z: QuadNum, k: int) -> QuadNum:

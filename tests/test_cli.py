@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from mortality2x2 import cli
 from mortality2x2.cli import main
 
 PLANTED = {"matrices": [[[7, -8], [0, 0]], [[2, 0], [1, 1]]]}
@@ -229,6 +230,24 @@ def test_usage_errors_exit_64(capsys):
     capsys.readouterr()
     assert main([]) == 64
     capsys.readouterr()
+
+
+def test_parse_error_leaves_the_shared_parser_usable(tmp_path, capsys, monkeypatch):
+    errors = []
+    real_error = cli._Parser.error
+
+    def spy(self, message):
+        errors.append(message)
+        real_error(self, message)
+
+    monkeypatch.setattr(cli._Parser, "error", spy)
+    path = write(tmp_path, PLANTED)
+    assert main(["decide", path, "--no-such-option"]) == 64
+    assert len(errors) == 1 and "--no-such-option" in errors[0]
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["decide", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["witness"] == [0, 1, 1, 1, 0]
+    assert len(errors) == 1
 
 
 @pytest.mark.parametrize(

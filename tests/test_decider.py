@@ -346,7 +346,7 @@ def test_decide_hoists_the_per_v_and_per_member_work(monkeypatch):
     for owner, fn_name in (
         ("linalg", "char_poly"),
         ("linalg", "canon_int_mat"),
-        ("linalg", "factor_rank_one"),
+        ("pairs", "endpoint"),
         ("spectral", "power_similar_identity"),
         ("pairs", "decide_pair"),
     ):
@@ -364,8 +364,8 @@ def test_decide_hoists_the_per_v_and_per_member_work(monkeypatch):
     assert decide(inst) == Immortal(IMMORTAL_PAIRS_REFUSED)
     assert calls == {
         "char_poly": 1,
-        "canon_int_mat": 1 + 6,  # once for V, once per member
-        "factor_rank_one": 6,
+        "canon_int_mat": 1 + 2 * 6,  # once for V, twice per member (u and w)
+        "endpoint": 6,
         "power_similar_identity": 1,
         "decide_pair": 36,
     }

@@ -4,12 +4,14 @@ complex-eigenvalue entry point, and the pair decision with its certificates."""
 import random
 import time
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 
 from mortality2x2 import InternalError, Mat2, RankError
-from mortality2x2.linalg import CharPoly, Vec2, char_poly, is_scalar_multiple, mat_pow, outer
+from mortality2x2.linalg import (
+    CharPoly, Vec2, canon_int_mat, char_poly, factor_rank_one, is_scalar_multiple, mat_pow, outer,
+)
 from mortality2x2.pairs import (
     NoExponent,
     Prepared,
@@ -34,6 +36,7 @@ from helpers import (
     rand_invertible_int,
     rand_nonperiodic_invertible,
     rand_rank_one,
+    rand_rat,
     scan_pair_zeros,
 )
 
@@ -186,6 +189,12 @@ def test_solve_r_eq_x_rejects_periodic_shapes():
         solve_r_eq_x(CharPoly(0, -1), Fraction(1, 2))  # b = 0, disc > 0
     with pytest.raises(ValueError):
         solve_r_eq_x(CharPoly(1, 0), Fraction(1, 2))  # c = 0
+
+
+def test_solve_r_eq_x_rejects_a_rational_char_poly():
+    # the engine hands it integer b and c only; rational ones are scaled by the caller
+    with pytest.raises(ValueError):
+        solve_r_eq_x(CharPoly(Fraction(1, 2), 3), Fraction(1, 3))
 
 
 def test_solve_r_eq_x_complex_delegation():
@@ -393,8 +402,49 @@ def test_decide_pair_refuses_fixed_point_target():
         n = outer(u, Vec2(1, 2))
         track = pair_problem(_prepared(n, v, n))
         assert Fraction(-track.s1, track.s0) in (Fraction(-1), Fraction(-2))
-        assert decide_pair(n, v, n) == NoExponent(RefusalReason.ZERO_NEVER_HIT_MONOTONE)
+        assert decide_pair(n, v, n) == NoExponent(RefusalReason.RATIO_EQUATION_UNSATISFIABLE)
         assert scan_pair_zeros(n, v, n, 64) == set()
+
+
+def test_decide_pair_zero_discriminant_refusal():
+    # d = 0 (V = [[1, 0], [12, 1]]): with u = (1, 0) and w = (1, 1),
+    # s_j = 1 + 12 j never vanishes, so the closed form's one candidate fails
+    v = mat([[1, 0], [12, 1]])
+    n = mat([[1, 1], [0, 0]])
+    assert char_poly(v).discriminant == 0
+    assert decide_pair(n, v, n) == NoExponent(RefusalReason.SINGLE_CANDIDATE_FAILED)
+    assert scan_pair_zeros(n, v, n, 64) == set()
+
+
+def _old_endpoint_factors(n):
+    """u and w by the rational route: `factor_rank_one`, u cleared of its
+    denominators (it leads with 1, so that is primitive), w made canonical."""
+    u, w = factor_rank_one(n)
+    t = lcm(u.x0.denominator, u.x1.denominator)
+    s = lcm(w.x0.denominator, w.x1.denominator)
+    return (int(t * u.x0), int(t * u.x1)), canon_int_mat((int(s * w.x0), int(s * w.x1)))
+
+
+def test_endpoint_matches_the_rational_factorization():
+    rng = random.Random(88)
+    inner = analyze_inner(mat([[Fraction(3, 2), 1], [Fraction(-1, 3), Fraction(1, 2)]]))
+    a, b, c, d = inner.v
+    shapes = {"zero first row": 0, "zero first column": 0, "negative lead": 0}
+    for trial in range(2000):
+        if trial % 4 == 0:  # a zero first row
+            n = outer(Vec2(0, rand_rat(rng, 9, 7) or 1), Vec2(rand_rat(rng, 9, 7), rand_rat(rng, 9, 7) or 1))
+        elif trial % 4 == 1:  # a zero first column
+            n = outer(Vec2(rand_rat(rng, 9, 7), rand_rat(rng, 9, 7) or 1), Vec2(0, rand_rat(rng, 9, 7) or 1))
+        else:
+            n = rand_rank_one(rng, 9, 7)
+        shapes["zero first row"] += n.e00 == n.e01 == 0
+        shapes["zero first column"] += n.e00 == n.e10 == 0
+        shapes["negative lead"] += next(e for e in n.entries() if e != 0) < 0
+        u, w = _old_endpoint_factors(n)
+        end = endpoint(n, inner.v)
+        assert (end.u, end.w, end.vu) == (u, w, (a * u[0] + b * u[1], c * u[0] + d * u[1]))
+        assert is_scalar_multiple(n, outer(Vec2(*end.u), Vec2(*end.w))) is not None
+    assert min(shapes.values()) >= 400
 
 
 def test_witness_check_survives_a_wrong_power(monkeypatch):
