@@ -9,7 +9,8 @@ Complete whenever the set contains at most one invertible matrix:
 * with exactly one invertible member V, every ordered pair of singular
   members (N_i, N_j) is reduced to the exponent question
   N_i V^k N_j = 0 and handed to `decide_pair`.  The work is hoisted out of
-  the n^2 pair loop: V's analysis (`analyze_inner`: the invertibility
+  the n^2 pair loop: every member's integer form and determinant
+  (`int_form`) are taken once, V's analysis (`analyze_inner`: the invertibility
   check, V's canonical primitive integer form, its characteristic
   polynomial with the seed, and periodicity) is done once per call, each
   member's rank check and factorization into primitive integer u, w with
@@ -31,7 +32,7 @@ from itertools import combinations
 from typing import Iterable, Optional, Union
 
 from .linalg import Mat2, RankError, factor_rank_one, outer, rank
-from .pairs import Prepared, Witness, analyze_inner, decide_pair, endpoint
+from .pairs import Prepared, Witness, analyze_inner, decide_pair, endpoint, int_form
 
 Word = tuple[int, ...]
 
@@ -114,9 +115,9 @@ def decide(instance: Instance, oracle_bound: int = 8) -> Verdict:
         if m.is_zero():
             return Mortal((i,), MORTAL_ZERO_MEMBER)
 
-    dets = [m.det() for m in mats]
-    invertibles = tuple(i for i, det in enumerate(dets) if det != 0)
-    singulars = tuple(i for i, det in enumerate(dets) if det == 0)
+    forms = [int_form(m) for m in mats]
+    invertibles = tuple(i for i, (_, det) in enumerate(forms) if det != 0)
+    singulars = tuple(i for i, (_, det) in enumerate(forms) if det == 0)
 
     if not invertibles:
         for i in range(len(mats)):
@@ -138,8 +139,8 @@ def decide(instance: Instance, oracle_bound: int = 8) -> Verdict:
 
     v_index = invertibles[0]
     v = mats[v_index]
-    inner = analyze_inner(v)
-    ends = {i: endpoint(mats[i], inner.v) for i in singulars}
+    inner = analyze_inner(v, forms[v_index])
+    ends = {i: endpoint(mats[i], inner.v, forms[i]) for i in singulars}
     for i in singulars:
         for j in singulars:
             verdict = decide_pair(mats[i], v, mats[j], Prepared(inner, ends[i], ends[j]))

@@ -1,9 +1,10 @@
 """Exact 2x2 linear algebra.
 
 Vectors, matrices and characteristic-polynomial data over arbitrary-precision
-rationals (`fractions.Fraction`), a matrix's integer form (`to_int_mat`) and
-the primitive form of any integer tuple (`canon_int_mat`), on which the
-oracle keys its states and the pair engine runs its per-pair arithmetic.
+rationals (`fractions.Fraction`), a matrix's integer form (`to_int_mat`), the
+integer product and power (`int_mat_mul`, `int_mat_pow`) and the primitive
+form of any integer tuple (`canon_int_mat`), on which the oracle keys its
+states and the pair engine runs its per-pair arithmetic.
 Every value is immutable and every operation is a pure function.  No
 floating point is used anywhere.
 """
@@ -221,17 +222,14 @@ def char_poly(m: Mat2) -> CharPoly:
 
 
 def mat_pow(m: Mat2, k: int) -> Mat2:
-    """Exact k-th power by binary exponentiation; k = 0 gives the identity."""
-    if k < 0:
-        raise ValueError("exponent must be nonnegative")
-    result = Mat2.identity()
-    base = m
-    while k:
-        if k & 1:
-            result = result * base
-        base = base * base
-        k >>= 1
-    return result
+    """Exact k-th power; k = 0 gives the identity.
+
+    With t the lcm of m's denominators, m^k = (t m)^k / t^k, and the power
+    of the integer matrix t m is taken by `int_mat_pow`.
+    """
+    power = int_mat_pow(to_int_mat(m), k)
+    scale = lcm(*(e.denominator for e in m.entries())) ** k
+    return Mat2(*(Fraction(e, scale) for e in power))
 
 
 IntMat = tuple[int, int, int, int]
@@ -243,6 +241,30 @@ def to_int_mat(m: Mat2) -> IntMat:
     entries = m.entries()
     den_lcm = lcm(*(e.denominator for e in entries))
     return tuple(e.numerator * (den_lcm // e.denominator) for e in entries)
+
+
+def int_mat_mul(a: IntMat, b: IntMat) -> IntMat:
+    """The integer product a b, row-major."""
+    return (
+        a[0] * b[0] + a[1] * b[2],
+        a[0] * b[1] + a[1] * b[3],
+        a[2] * b[0] + a[3] * b[2],
+        a[2] * b[1] + a[3] * b[3],
+    )
+
+
+def int_mat_pow(a: IntMat, k: int) -> IntMat:
+    """a^k for k >= 0, left to right over the bits of k: square, then
+    multiply by a, so every product but the squares has the small base as a
+    factor and no square is left unused."""
+    if k < 0:
+        raise ValueError("exponent must be nonnegative")
+    result = a if k else (1, 0, 0, 1)
+    for bit in bin(k)[3:]:
+        result = int_mat_mul(result, result)
+        if bit == "1":
+            result = int_mat_mul(result, a)
+    return result
 
 
 def canon_int_mat(a: tuple[int, ...]) -> tuple[int, ...]:

@@ -22,18 +22,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .decider import Immortal, Instance, Mortal, Unknown, Word, decide, verify_witness
-from .linalg import IntMat, InternalError, Mat2, Vec2, canon_int_mat, outer, to_int_mat
+from .linalg import IntMat, InternalError, Mat2, Vec2, canon_int_mat, int_mat_mul, outer, to_int_mat
 
 _ZERO: IntMat = (0, 0, 0, 0)
-
-
-def _mul(a: IntMat, b: IntMat) -> IntMat:
-    return (
-        a[0] * b[0] + a[1] * b[2],
-        a[0] * b[1] + a[1] * b[3],
-        a[2] * b[0] + a[3] * b[2],
-        a[2] * b[1] + a[3] * b[3],
-    )
 
 
 def search(instance: Instance, max_len: int) -> Optional[Word]:
@@ -60,7 +51,7 @@ def search(instance: Instance, max_len: int) -> Optional[Word]:
         if len(word) >= max_len:
             break  # queue is in nondecreasing length order
         for j, m in enumerate(mats):
-            product = _mul(state, m)
+            product = int_mat_mul(state, m)
             if product == _ZERO:
                 return word + (j,)
             c = canon_int_mat(product)

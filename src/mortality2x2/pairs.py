@@ -16,9 +16,9 @@ N(rho) = 1, its rational part is the Chebyshev equation T_k(p) = q with
 2p = rho + 1/rho = b^2/c - 2, the seed of `CharPoly`, so rho itself is
 never built.  The equation has at most one solution off the periodic case,
 whatever the sign of d (|p| < 1 for d < 0, |p| > 1 for d > 0).  One index
-search names that solution with O(log k) exact doubling steps, O(log^2 k)
-when 2p is an integer and the index is bisected, and one confirmation
-accepts it: the doubling ladder r_{2j} = (r_j^2 - c)/(2 r_j - b),
+search names that solution with O(log k) exact doubling steps (when 2p is
+an integer, a gallop and a bit-length estimate with one ladder), and one
+confirmation accepts it: the doubling ladder r_{2j} = (r_j^2 - c)/(2 r_j - b),
 r_{j+1} = c/(b - r_j) must give r_k = x.  That is plain rational equality,
 so it also holds when d is a perfect square, and it refuses the conjugate
 solution rho^k = conj(tau), which is r_{-k} = x.  The zero discriminant
@@ -26,7 +26,8 @@ uses the closed form r_k = (k-1) b / (2k), solved linearly.
 
 Since N (tV)^k M = t^k N V^k M, scaling a member changes nothing, so the
 work runs on primitive integer forms, and every member enters through its
-integer form `to_int_mat`.  `analyze_inner` does what depends on V alone --
+integer form and determinant `int_form`, which `decider.decide` takes once
+per member and passes in.  `analyze_inner` does what depends on V alone --
 the invertibility check, V's canonical form, its characteristic polynomial
 with integer b, c and the seed, and the periodicity test -- and `endpoint`
 reads a singular member's rank test, primitive column u, primitive row w
@@ -34,7 +35,9 @@ and V u off its form.  Per pair only the integer dot products
 s0 = w_l . u_r, s1 = w_l . (V u_r), the scalar solve and the witness check
 remain, so `decider.decide` builds the first two once and passes them in.
 `decide_pair` alone builds them when they are missing, and it alone runs
-the exact witness check `is_witness`, whichever branch named the exponent.
+the exact witness check, whichever branch named the exponent: the members'
+integer forms times the integer power of the canonical V (`is_witness`),
+with no `Fraction` in the product.
 
 Every returned witness exponent is confirmed by an exact product check;
 every refusal is certified by exact arithmetic.  No floating point is used.
@@ -49,10 +52,13 @@ from math import gcd, lcm
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .linalg import (
-    CharPoly, IntMat, IntVec, InternalError, Mat2, Rat, RatLike,
-    RankError, canon_int_mat, char_poly, mat_pow, to_int_mat,
+    CharPoly, IntMat, IntVec, InternalError, Mat2, Rat, RatLike, RankError,
+    canon_int_mat, char_poly, int_mat_mul, int_mat_pow, to_int_mat,
 )
 from .spectral import PeriodResult, _cheb_index, power_similar_identity
+
+
+_ZERO: IntMat = (0, 0, 0, 0)
 
 
 class RefusalReason(str, enum.Enum):
@@ -124,10 +130,23 @@ class InnerAnalysis:
     periodic: Optional[PeriodResult]
 
 
-def analyze_inner(v: Mat2) -> InnerAnalysis:
-    """Test V's integer form for invertibility, canonicalise it and derive its spectral data once."""
-    a = to_int_mat(v)
-    if a[0] * a[3] == a[1] * a[2]:
+IntForm = tuple[IntMat, int]
+
+
+def int_form(m: Mat2) -> IntForm:
+    """A member's integer form `to_int_mat(m)` with its determinant, whose
+    sign and zero test are m's own."""
+    a = to_int_mat(m)
+    return a, a[0] * a[3] - a[1] * a[2]
+
+
+def analyze_inner(v: Mat2, form: Optional[IntForm] = None) -> InnerAnalysis:
+    """Test V's integer form for invertibility, canonicalise it and derive its spectral data once.
+
+    `form`, if given, is `int_form(v)`, already at hand in the caller.
+    """
+    a, det = int_form(v) if form is None else form
+    if det == 0:
         raise ValueError("inner matrix must be invertible")
     canon = canon_int_mat(a)
     v = Mat2(*canon)
@@ -139,28 +158,31 @@ def analyze_inner(v: Mat2) -> InnerAnalysis:
 class Endpoint:
     """A rank-1 member N, a multiple of u w^T, with V u: an end of any pair.
 
-    All three are integer vectors, u and w primitive with first nonzero entry
-    positive, V u on the canonical V.  The left end of a pair uses the row
-    factor w, the right end u and V u.
+    u, w and V u are integer vectors, u and w primitive with first nonzero
+    entry positive, V u on the canonical V.  The left end of a pair uses the
+    row factor w, the right end u and V u; the witness check multiplies N's
+    integer form `form`.
     """
 
     u: IntVec
     w: IntVec
     vu: IntVec
+    form: IntMat
 
 
-def endpoint(n: Mat2, v: IntMat) -> Endpoint:
+def endpoint(n: Mat2, v: IntMat, form: Optional[IntForm] = None) -> Endpoint:
     """Check that N has rank 1 and factor it once for every pair it ends.
 
     On N's integer form: its first nonzero column and row, made primitive,
-    are u and w.  `v` is `InnerAnalysis.v`.
+    are u and w.  `v` is `InnerAnalysis.v`; `form`, if given, is
+    `int_form(n)`, already at hand in the caller.
     """
-    a = to_int_mat(n)
-    if a == (0, 0, 0, 0) or a[0] * a[3] != a[1] * a[2]:
+    a, det = int_form(n) if form is None else form
+    if a == _ZERO or det != 0:
         raise RankError("endpoint requires a rank-1 matrix")
     u0, u1 = canon_int_mat((a[0], a[2]) if a[0] or a[2] else (a[1], a[3]))
     w = canon_int_mat(a[:2] if a[0] or a[1] else a[2:])
-    return Endpoint((u0, u1), w, (v[0] * u0 + v[1] * u1, v[2] * u0 + v[3] * u1))
+    return Endpoint((u0, u1), w, (v[0] * u0 + v[1] * u1, v[2] * u0 + v[3] * u1), a)
 
 
 class Prepared(NamedTuple):
@@ -284,18 +306,26 @@ def solve_ratio_power(cp: CharPoly, s0: Rat, s1: Rat) -> Optional[int]:
 
 
 def is_witness(n_left: Mat2, inner: InnerAnalysis, n_right: Mat2, k: int) -> bool:
-    """N_left V^k N_right == 0, by one exact product on the canonical V.
+    """N_left V^k N_right == 0, by one exact integer product on the members'
+    integer forms and the canonical V (see `_annihilates`)."""
+    return _annihilates(to_int_mat(n_left), inner, to_int_mat(n_right), k)
+
+
+def _annihilates(left: IntMat, inner: InnerAnalysis, right: IntMat, k: int) -> bool:
+    """left V^k right == 0 on integers, V the canonical `inner.v`.
 
     For d = 0, V^k = lam^(k-1) (k V - (k-1) lam I) with lam = -b/2 != 0, so
-    the test reads N_left (2k V + (k-1) b I) N_right == 0 on O(log k)-bit
-    numbers, however large k is; otherwise V^k is powered out.
+    the test reads left (2k V + (k-1) b I) right == 0 on O(log k)-bit
+    numbers, however large k is; otherwise V^k is powered out by
+    `int_mat_pow`.
     """
-    v = Mat2(*inner.v)
+    v = inner.v
     if inner.char.discriminant == 0:
-        power = v.scale(2 * k) + Mat2.identity().scale((k - 1) * inner.char.b)
+        shift = (k - 1) * inner.char.b.numerator
+        power = (2 * k * v[0] + shift, 2 * k * v[1], 2 * k * v[2], 2 * k * v[3] + shift)
     else:
-        power = mat_pow(v, k)
-    return (n_left * power * n_right).is_zero()
+        power = int_mat_pow(v, k)
+    return int_mat_mul(int_mat_mul(left, power), right) == _ZERO
 
 
 def decide_pair(
@@ -307,8 +337,9 @@ def decide_pair(
     `prepared` must hold `inner = analyze_inner(v)`, `endpoint(n_left,
     inner.v)` and `endpoint(n_right, inner.v)`; without it they are built
     here, which validates the inputs.  Every witness exponent passes the
-    exact product check `is_witness`.  Off the periodic scan a refusal names
-    the solve: `SINGLE_CANDIDATE_FAILED` at d = 0, else `RATIO_EQUATION_UNSATISFIABLE`.
+    exact product check of `is_witness`, on the endpoints' integer forms.
+    Off the periodic scan a refusal names the solve:
+    `SINGLE_CANDIDATE_FAILED` at d = 0, else `RATIO_EQUATION_UNSATISFIABLE`.
     """
     if prepared is None:
         inner = analyze_inner(v)
@@ -328,6 +359,6 @@ def decide_pair(
             if inner.char.discriminant == 0:
                 return NoExponent(RefusalReason.SINGLE_CANDIDATE_FAILED)
             return NoExponent(RefusalReason.RATIO_EQUATION_UNSATISFIABLE)
-    if not is_witness(n_left, inner, n_right, k):
+    if not _annihilates(prepared.left.form, inner, prepared.right.form, k):
         raise InternalError(f"witness exponent {k} fails the exact product check")
     return Witness(k)

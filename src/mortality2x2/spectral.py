@@ -159,12 +159,15 @@ def _cheb_index(tp: Fraction, tq: tuple[int, int]) -> Optional[int]:
     * m = den(tp) > 1: writing tp = a/m, the numerator of t_n stays prime to
       m (it is a^n mod any prime of m), so den(t_n) = m^n exactly, whatever
       the size of tp; the candidate is the exponent of den(tq) as a power
-      of m.
+      of m, confirmed by one exact evaluation of t_n.
     * integer tp with |tp| > 2: |t_{n+1}| >= |tp| |t_n| - |t_{n-1}| > |t_n|,
-      so the candidate is the largest n with |t_n| <= |tq|, found by
-      galloping over n = 2^i (t_{2n} = t_n^2 - 2) and bisecting.
-
-    The candidate is confirmed by one exact evaluation of t_n.
+      so the candidate is the largest n with |t_n| <= |tq|.  Galloping over
+      n = 2^i (t_{2n} = t_n^2 - 2) brackets it in [lo, 2 lo).  As
+      |t_n| = lam^n + lam^-n for the eigenvalue lam > 1 of the track, the
+      bit length of t_n is n log2(lam) + O(1), so lo * bitlen(tq) //
+      bitlen(t_lo) lands within a step or two of n; one ladder evaluates t_n
+      and t_{n+1} there, the recurrence t_{n+-1} = tp t_n - t_{n-+1} walks
+      to the candidate, and its t_n confirms it.
     """
     a, m = tp.numerator, tp.denominator
     tq_num, tq_den = tq
@@ -172,27 +175,24 @@ def _cheb_index(tp: Fraction, tq: tuple[int, int]) -> Optional[int]:
         n = _power_exponent(tq_den, m)
         if n is None:
             return None
-    else:
-        if abs(a) <= 2:
-            raise ValueError("an integer doubled cosine in [-2, 2] gives a periodic track")
-        if tq_den != 1 or abs(tq_num) < 2:
-            return None
-        bound = abs(tq_num)
-        lo, hi, t_hi = 0, 1, a
-        while abs(t_hi) <= bound:
-            lo, hi, t_hi = hi, 2 * hi, t_hi * t_hi - 2
-        # |t_lo| <= |tq| < |t_hi|
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if abs(_cheb_ladder(a, 1, mid)[0]) <= bound:
-                lo = mid
-            else:
-                hi = mid
-        n = lo
-    num, den = _cheb_ladder(a, m, n)
-    if num * tq_den == tq_num * den:
-        return n
-    return None
+        num, _, den = _cheb_ladder(a, m, n)
+        return n if num * tq_den == tq_num * den else None
+    if abs(a) <= 2:
+        raise ValueError("an integer doubled cosine in [-2, 2] gives a periodic track")
+    bound = abs(tq_num)
+    if tq_den != 1 or bound < 2:
+        return None
+    lo, t_lo, t_hi = 0, 2, a
+    while abs(t_hi) <= bound:
+        lo, t_lo, t_hi = max(1, 2 * lo), t_hi, t_hi * t_hi - 2
+    # |t_lo| <= |tq| < |t_{2 lo}|, or lo = 0 and |tq| < |t_1|
+    n = max(lo, min(2 * lo - 1, lo * bound.bit_length() // t_lo.bit_length()))
+    t_n, t_next, _ = _cheb_ladder(a, 1, n)
+    while abs(t_next) <= bound:
+        n, t_n, t_next = n + 1, t_next, a * t_next - t_n
+    while abs(t_n) > bound:
+        n, t_n, t_next = n - 1, a * t_n - t_next, t_n
+    return n if t_n == tq_num else None
 
 
 def _power_exponent(value: int, base: int) -> Optional[int]:
@@ -219,8 +219,9 @@ def _power_exponent(value: int, base: int) -> Optional[int]:
     return None
 
 
-def _cheb_ladder(a: int, m: int, n: int) -> tuple[int, int]:
-    """(A, m^n) with t_n = A / m^n on the track of t_1 = a/m, in O(log n) steps.
+def _cheb_ladder(a: int, m: int, n: int) -> tuple[int, int, int]:
+    """(A, B, m^n) with t_n = A / m^n and t_{n+1} = B / m^(n+1) on the track
+    of t_1 = a/m, in O(log n) steps.
 
     Walks the pair (t_j, t_{j+1}) down the bits of n with the doubling
     identities t_{2j} = t_j^2 - 2 and t_{2j+1} = t_j t_{j+1} - t_1, kept as
@@ -235,7 +236,7 @@ def _cheb_ladder(a: int, m: int, n: int) -> tuple[int, int]:
             lo, hi, scale = cross, hi * hi - 2 * m_sq * scale_sq, scale_sq * m
         else:
             lo, hi, scale = lo * lo - 2 * scale_sq, cross, scale_sq
-    return lo, scale
+    return lo, hi, scale
 
 
 def _solve_periodic(tp: Fraction, tq: Fraction) -> ChebyshevAnswer:
@@ -266,14 +267,15 @@ def power_similar_identity(a: Mat2, cp: Optional[CharPoly] = None) -> Optional[P
     b^2/c - 2 of `CharPoly`, an integer in [-2, 2] for a root of unity, so
     only the seeds -2, -1, 0 and 1 are periodic, with m = 2, 3, 4 and 6;
     real distinct eigenvalues reach them only at b = 0 (seed -2, ratio -1).
-    `cp`, if given, is `char_poly(a)`, already at hand in the caller.
+    `cp`, if given, is `char_poly(a)`, already at hand in the caller, and
+    its c stands in for a's determinant.
     """
-    if a.det() == 0:
+    if cp is None:
+        cp = char_poly(a)
+    if cp.c == 0:
         raise ValueError("matrix must be invertible")
     if a.is_scalar():
         return PeriodResult(1, a.e00)
-    if cp is None:
-        cp = char_poly(a)
     order = _ORDER_BY_SEED.get(cp.seed)
     if order is None:
         return None

@@ -20,7 +20,7 @@ from mortality2x2.decider import (
     pad_singular,
     to_two_singular,
 )
-from helpers import rand_invertible_int, rand_rank_one, rand_rat
+from helpers import plant_pair, rand_invertible_int, rand_rank_one, rand_rat
 
 
 def mat(rows):
@@ -369,3 +369,29 @@ def test_decide_hoists_the_per_v_and_per_member_work(monkeypatch):
         "power_similar_identity": 1,
         "decide_pair": 36,
     }
+
+
+def test_decide_takes_each_integer_form_and_determinant_once(monkeypatch):
+    # one planted pair: the members' integer forms and determinants are
+    # taken once, in decide, and reused by analyze_inner, endpoint and the
+    # witness check; the one Mat2.det left is char_poly's on the canonical V
+    v = mat([[2, 1], [1, 1]])
+    inst = Instance((plant_pair(v, 40), v))
+    calls = {"to_int_mat": 0, "det": 0}
+    real_det = Mat2.det
+    real_to_int_mat = sys.modules["mortality2x2.linalg"].to_int_mat
+
+    def counted_det(self):
+        calls["det"] += 1
+        return real_det(self)
+
+    def counted_to_int_mat(m):
+        calls["to_int_mat"] += 1
+        return real_to_int_mat(m)
+
+    monkeypatch.setattr(Mat2, "det", counted_det)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mortality2x2") and getattr(module, "to_int_mat", None) is real_to_int_mat:
+            monkeypatch.setattr(module, "to_int_mat", counted_to_int_mat)
+    assert decide(inst).exponent_witness == (0, 40, 0)
+    assert calls == {"to_int_mat": 2, "det": 1}

@@ -14,6 +14,8 @@ from mortality2x2.linalg import (
     canon_int_mat,
     char_poly,
     factor_rank_one,
+    int_mat_mul,
+    int_mat_pow,
     is_scalar_multiple,
     mat_pow,
     outer,
@@ -137,9 +139,29 @@ def test_mat_pow_matches_repeated_multiplication():
     for _ in range(50):
         m = rand_mat(rng, 3, 3)
         stepwise = Mat2.identity()
-        for k in range(8):
+        for k in range(41):
             assert mat_pow(m, k) == stepwise
             stepwise = stepwise * m
+
+
+def test_int_mat_pow_matches_repeated_multiplication():
+    rng = random.Random(98)
+    for _ in range(50):
+        a = tuple(rng.randint(-9, 9) for _ in range(4))
+        stepwise = (1, 0, 0, 1)
+        for k in range(41):
+            assert int_mat_pow(a, k) == stepwise
+            stepwise = int_mat_mul(stepwise, a)
+    with pytest.raises(ValueError):
+        int_mat_pow((1, 0, 0, 1), -1)
+
+
+def test_int_mat_mul_matches_rational_product():
+    rng = random.Random(97)
+    for _ in range(200):
+        a = tuple(rng.randint(-99, 99) for _ in range(4))
+        b = tuple(rng.randint(-99, 99) for _ in range(4))
+        assert Mat2(*int_mat_mul(a, b)) == Mat2(*a) * Mat2(*b)
 
 
 def primitive(m: Mat2) -> tuple[int, int, int, int]:

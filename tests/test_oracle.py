@@ -17,8 +17,8 @@ from mortality2x2 import (
     search,
 )
 from mortality2x2 import oracle
-from mortality2x2.linalg import canon_int_mat, to_int_mat
-from mortality2x2.oracle import _mul, random_instance
+from mortality2x2.linalg import canon_int_mat, int_mat_mul, to_int_mat
+from mortality2x2.oracle import random_instance
 from helpers import exhaustive_search, rand_invertible_int, rand_rank_one
 
 
@@ -39,7 +39,7 @@ def _search_without_dedup(instance: Instance, max_len: int):
         if len(word) >= max_len:
             break
         for j, m in enumerate(mats):
-            product = _mul(state, m)
+            product = int_mat_mul(state, m)
             if product == (0, 0, 0, 0):
                 return word + (j,)
             queue.append((canon_int_mat(product), word + (j,)))

@@ -452,8 +452,8 @@ def test_witness_check_survives_a_wrong_power(monkeypatch):
     n = mat([[7, -8], [0, 0]])
     v = mat([[2, 0], [1, 1]])
     assert decide_pair(n, v, n) == Witness(3)
-    real_pow = pairs.mat_pow
-    monkeypatch.setattr(pairs, "mat_pow", lambda m, k: real_pow(m, k + 1))
+    real_pow = pairs.int_mat_pow
+    monkeypatch.setattr(pairs, "int_mat_pow", lambda a, k: real_pow(a, k + 1))
     with pytest.raises(InternalError):
         decide_pair(n, v, n)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mortality2x2 import Mat2
+from mortality2x2 import Mat2, spectral
 from mortality2x2.linalg import is_scalar_multiple, mat_pow
 from mortality2x2.spectral import (
     Empty,
@@ -106,10 +106,11 @@ def test_cheb_ladder_matches_track():
     rng = random.Random(60)
     for p in _ladder_points(rng):
         tp = 2 * p
-        track = doubled_cosine_track(p, 60)
+        track = doubled_cosine_track(p, 61)
         for n in range(61):
-            num, den = _cheb_ladder(tp.numerator, tp.denominator, n)
+            num, num_next, den = _cheb_ladder(tp.numerator, tp.denominator, n)
             assert Fraction(num, den) == track[n], (p, n)
+            assert Fraction(num_next, den * tp.denominator) == track[n + 1], (p, n)
             assert den == tp.denominator**n
 
 
@@ -126,6 +127,49 @@ def test_cheb_index_outside_unit_interval():
             t = rand_rat(rng, 50, 9) + rng.choice(track)
             expected = track.index(t) if t in track else None
             assert _cheb_index(2 * p, (t.numerator, t.denominator)) == expected, (p, t)
+
+
+INTEGER_SEEDS = (3, -3, 4, -4, 5, 7, -6, 11, 100, -250)
+
+
+def test_cheb_index_at_integer_seeds_matches_the_track():
+    # integer seed: the gallop and the bit-length estimate land on the one
+    # index of t_n, and on none for t_n +- 1 (the track never repeats)
+    for a in INTEGER_SEEDS:
+        track = doubled_cosine_track(Fraction(a, 2), 301)
+        for n in range(301):
+            assert _cheb_index(Fraction(a), (track[n].numerator, 1)) == n, (a, n)
+            for t in (track[n] - 1, track[n] + 1):
+                expected = track.index(t) if t in track else None
+                assert _cheb_index(Fraction(a), (t.numerator, 1)) == expected, (a, n)
+
+
+def test_cheb_index_at_integer_seeds_deep():
+    n = 10**5
+    for a in (3, -4, 7):
+        t_n, t_next, _ = _cheb_ladder(a, 1, n)
+        assert _cheb_index(Fraction(a), (t_n, 1)) == n
+        assert _cheb_index(Fraction(a), (t_next, 1)) == n + 1
+        for t in (t_n - 1, t_n + 1, -t_n):
+            assert _cheb_index(Fraction(a), (t, 1)) is None
+
+
+def test_cheb_index_runs_one_ladder_at_an_integer_seed(monkeypatch):
+    calls = []
+    real_ladder = spectral._cheb_ladder
+
+    def counted(*args):
+        calls.append(args)
+        return real_ladder(*args)
+
+    monkeypatch.setattr(spectral, "_cheb_ladder", counted)
+    for a in INTEGER_SEEDS:
+        for n in (0, 1, 2, 3, 17, 64, 255, 1000, 4097):
+            t_n = real_ladder(a, 1, n)[0]
+            for t in (t_n - 1, t_n, t_n + 1, 10 * t_n):
+                calls.clear()
+                _cheb_index(Fraction(a), (t, 1))
+                assert len(calls) <= 1, (a, n, t)
 
 
 # -------------------------------------------------- power_similar_identity
