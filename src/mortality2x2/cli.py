@@ -236,12 +236,20 @@ _PARSER = build_parser()  # built once: parsing keeps no state between calls
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # Entries may have any number of digits: lift the interpreter's limit on
+    # int-string conversion, where it has one, while main runs; then restore it.
+    saved_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if saved_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         args = _PARSER.parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    finally:
+        if saved_limit is not None:
+            sys.set_int_max_str_digits(saved_limit)
 
 
 if __name__ == "__main__":

@@ -1,16 +1,17 @@
 """Top-level mortality decision for a set of 2x2 rational matrices.
 
-Complete whenever the set contains at most one invertible matrix:
+Complete whenever the set contains at most one invertible matrix.  Each
+member's integer form and determinant (`int_form`) are taken once, first,
+and every check below runs on them:
 
-* a zero member is an immediate length-1 witness;
+* a zero member (integer form `ZERO`) is an immediate length-1 witness;
 * with no invertible member, a mortal product must have length <= 2
-  (interior factors of a minimal zero product are invertible), so all
-  ordered pairs are checked;
+  (interior factors of a minimal zero product are invertible), so every
+  ordered pair of forms is multiplied out;
 * with exactly one invertible member V, every ordered pair of singular
   members (N_i, N_j) is reduced to the exponent question
   N_i V^k N_j = 0 and handed to `decide_pair`.  The work is hoisted out of
-  the n^2 pair loop: every member's integer form and determinant
-  (`int_form`) are taken once, V's analysis (`analyze_inner`: the invertibility
+  the n^2 pair loop: V's analysis (`analyze_inner`: the invertibility
   check, V's canonical primitive integer form, its characteristic
   polynomial with the seed, and periodicity) is done once per call, each
   member's rank check and factorization into primitive integer u, w with
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Union
 
-from .linalg import Mat2, RankError, factor_rank_one, outer, rank
+from .linalg import ZERO, Mat2, RankError, factor_rank_one, int_mat_mul, outer, rank
 from .pairs import Prepared, Witness, analyze_inner, decide_pair, endpoint, int_form
 
 Word = tuple[int, ...]
@@ -111,18 +112,18 @@ def decide(instance: Instance, oracle_bound: int = 8) -> Verdict:
     minimal exponents.
     """
     mats = instance.matrices
-    for i, m in enumerate(mats):
-        if m.is_zero():
+    forms = [int_form(m) for m in mats]
+    for i, (a, _) in enumerate(forms):
+        if a == ZERO:
             return Mortal((i,), MORTAL_ZERO_MEMBER)
 
-    forms = [int_form(m) for m in mats]
     invertibles = tuple(i for i, (_, det) in enumerate(forms) if det != 0)
     singulars = tuple(i for i, (_, det) in enumerate(forms) if det == 0)
 
     if not invertibles:
-        for i in range(len(mats)):
-            for j in range(len(mats)):
-                if (mats[i] * mats[j]).is_zero():
+        for i, (a, _) in enumerate(forms):
+            for j, (b, _) in enumerate(forms):
+                if int_mat_mul(a, b) == ZERO:
                     return Mortal((i, j), MORTAL_TWO_STEP)
         return Immortal(IMMORTAL_NO_ZERO_PAIR)
 
@@ -139,8 +140,8 @@ def decide(instance: Instance, oracle_bound: int = 8) -> Verdict:
 
     v_index = invertibles[0]
     v = mats[v_index]
-    inner = analyze_inner(v, forms[v_index])
-    ends = {i: endpoint(mats[i], inner.v, forms[i]) for i in singulars}
+    inner = analyze_inner(forms[v_index])
+    ends = {i: endpoint(forms[i], inner.v) for i in singulars}
     for i in singulars:
         for j in singulars:
             verdict = decide_pair(mats[i], v, mats[j], Prepared(inner, ends[i], ends[j]))

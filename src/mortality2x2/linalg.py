@@ -2,9 +2,10 @@
 
 Vectors, matrices and characteristic-polynomial data over arbitrary-precision
 rationals (`fractions.Fraction`), a matrix's integer form (`to_int_mat`), the
-integer product and power (`int_mat_mul`, `int_mat_pow`) and the primitive
-form of any integer tuple (`canon_int_mat`), on which the oracle keys its
-states and the pair engine runs its per-pair arithmetic.
+integer product, power and zero (`int_mat_mul`, `int_mat_pow`, `ZERO`) and
+the primitive form of any integer tuple (`canon_int_mat`), on which the
+oracle keys its states and the decider and pair engine run their zero tests
+and per-pair arithmetic.
 Every value is immutable and every operation is a pure function.  No
 floating point is used anywhere.
 """
@@ -234,6 +235,7 @@ def mat_pow(m: Mat2, k: int) -> Mat2:
 
 IntMat = tuple[int, int, int, int]
 IntVec = tuple[int, int]
+ZERO: IntMat = (0, 0, 0, 0)
 
 
 def to_int_mat(m: Mat2) -> IntMat:

@@ -22,9 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .decider import Immortal, Instance, Mortal, Unknown, Word, decide, verify_witness
-from .linalg import IntMat, InternalError, Mat2, Vec2, canon_int_mat, int_mat_mul, outer, to_int_mat
-
-_ZERO: IntMat = (0, 0, 0, 0)
+from .linalg import ZERO, IntMat, InternalError, Mat2, Vec2, canon_int_mat, int_mat_mul, outer, to_int_mat
 
 
 def search(instance: Instance, max_len: int) -> Optional[Word]:
@@ -40,7 +38,7 @@ def search(instance: Instance, max_len: int) -> Optional[Word]:
     seen: set[IntMat] = set()
     queue: deque[tuple[IntMat, Word]] = deque()
     for i, m in enumerate(mats):
-        if m == _ZERO:
+        if m == ZERO:
             return (i,)
         c = canon_int_mat(m)
         if c not in seen:
@@ -52,7 +50,7 @@ def search(instance: Instance, max_len: int) -> Optional[Word]:
             break  # queue is in nondecreasing length order
         for j, m in enumerate(mats):
             product = int_mat_mul(state, m)
-            if product == _ZERO:
+            if product == ZERO:
                 return word + (j,)
             c = canon_int_mat(product)
             if c not in seen:

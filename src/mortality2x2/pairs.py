@@ -26,18 +26,18 @@ uses the closed form r_k = (k-1) b / (2k), solved linearly.
 
 Since N (tV)^k M = t^k N V^k M, scaling a member changes nothing, so the
 work runs on primitive integer forms, and every member enters through its
-integer form and determinant `int_form`, which `decider.decide` takes once
-per member and passes in.  `analyze_inner` does what depends on V alone --
-the invertibility check, V's canonical form, its characteristic polynomial
+integer form and determinant `int_form`, the one input of `analyze_inner`
+and `endpoint`.  `analyze_inner` does what depends on V alone -- the
+invertibility check, V's canonical form, its characteristic polynomial
 with integer b, c and the seed, and the periodicity test -- and `endpoint`
 reads a singular member's rank test, primitive column u, primitive row w
 and V u off its form.  Per pair only the integer dot products
 s0 = w_l . u_r, s1 = w_l . (V u_r), the scalar solve and the witness check
-remain, so `decider.decide` builds the first two once and passes them in.
-`decide_pair` alone builds them when they are missing, and it alone runs
-the exact witness check, whichever branch named the exponent: the members'
-integer forms times the integer power of the canonical V (`is_witness`),
-with no `Fraction` in the product.
+remain, so `decider.decide` builds the rest once and passes it in; a bare
+`decide_pair` takes the three forms itself and then runs the same path.
+It alone runs the exact witness check, whichever branch named the
+exponent: the members' integer forms times the integer power of the
+canonical V (`is_witness`), with no `Fraction` in the product.
 
 Every returned witness exponent is confirmed by an exact product check;
 every refusal is certified by exact arithmetic.  No floating point is used.
@@ -52,13 +52,10 @@ from math import gcd, lcm
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .linalg import (
-    CharPoly, IntMat, IntVec, InternalError, Mat2, Rat, RatLike, RankError,
+    ZERO, CharPoly, IntMat, IntVec, InternalError, Mat2, Rat, RatLike, RankError,
     canon_int_mat, char_poly, int_mat_mul, int_mat_pow, to_int_mat,
 )
 from .spectral import PeriodResult, _cheb_index, power_similar_identity
-
-
-_ZERO: IntMat = (0, 0, 0, 0)
 
 
 class RefusalReason(str, enum.Enum):
@@ -140,12 +137,10 @@ def int_form(m: Mat2) -> IntForm:
     return a, a[0] * a[3] - a[1] * a[2]
 
 
-def analyze_inner(v: Mat2, form: Optional[IntForm] = None) -> InnerAnalysis:
-    """Test V's integer form for invertibility, canonicalise it and derive its spectral data once.
-
-    `form`, if given, is `int_form(v)`, already at hand in the caller.
-    """
-    a, det = int_form(v) if form is None else form
+def analyze_inner(form: IntForm) -> InnerAnalysis:
+    """Test V's integer form `int_form(v)` for invertibility, canonicalise it
+    and derive its spectral data once."""
+    a, det = form
     if det == 0:
         raise ValueError("inner matrix must be invertible")
     canon = canon_int_mat(a)
@@ -170,15 +165,14 @@ class Endpoint:
     form: IntMat
 
 
-def endpoint(n: Mat2, v: IntMat, form: Optional[IntForm] = None) -> Endpoint:
+def endpoint(form: IntForm, v: IntMat) -> Endpoint:
     """Check that N has rank 1 and factor it once for every pair it ends.
 
-    On N's integer form: its first nonzero column and row, made primitive,
-    are u and w.  `v` is `InnerAnalysis.v`; `form`, if given, is
-    `int_form(n)`, already at hand in the caller.
+    On N's integer form `form = int_form(n)`: its first nonzero column and
+    row, made primitive, are u and w.  `v` is `InnerAnalysis.v`.
     """
-    a, det = int_form(n) if form is None else form
-    if a == _ZERO or det != 0:
+    a, det = form
+    if a == ZERO or det != 0:
         raise RankError("endpoint requires a rank-1 matrix")
     u0, u1 = canon_int_mat((a[0], a[2]) if a[0] or a[2] else (a[1], a[3]))
     w = canon_int_mat(a[:2] if a[0] or a[1] else a[2:])
@@ -305,14 +299,9 @@ def solve_ratio_power(cp: CharPoly, s0: Rat, s1: Rat) -> Optional[int]:
     return solve_r_eq_x(CharPoly(t * cp.b, t * t * cp.c), -t * Fraction(s1) / s0)
 
 
-def is_witness(n_left: Mat2, inner: InnerAnalysis, n_right: Mat2, k: int) -> bool:
+def is_witness(left: IntMat, inner: InnerAnalysis, right: IntMat, k: int) -> bool:
     """N_left V^k N_right == 0, by one exact integer product on the members'
-    integer forms and the canonical V (see `_annihilates`)."""
-    return _annihilates(to_int_mat(n_left), inner, to_int_mat(n_right), k)
-
-
-def _annihilates(left: IntMat, inner: InnerAnalysis, right: IntMat, k: int) -> bool:
-    """left V^k right == 0 on integers, V the canonical `inner.v`.
+    integer forms `left`, `right` and the canonical V `inner.v`.
 
     For d = 0, V^k = lam^(k-1) (k V - (k-1) lam I) with lam = -b/2 != 0, so
     the test reads left (2k V + (k-1) b I) right == 0 on O(log k)-bit
@@ -325,7 +314,7 @@ def _annihilates(left: IntMat, inner: InnerAnalysis, right: IntMat, k: int) -> b
         power = (2 * k * v[0] + shift, 2 * k * v[1], 2 * k * v[2], 2 * k * v[3] + shift)
     else:
         power = int_mat_pow(v, k)
-    return int_mat_mul(int_mat_mul(left, power), right) == _ZERO
+    return int_mat_mul(int_mat_mul(left, power), right) == ZERO
 
 
 def decide_pair(
@@ -334,16 +323,16 @@ def decide_pair(
     """Witness with the minimal exponent, or a certified refusal.
 
     k = 0 (the bare product N_left * N_right) is an admissible witness.
-    `prepared` must hold `inner = analyze_inner(v)`, `endpoint(n_left,
-    inner.v)` and `endpoint(n_right, inner.v)`; without it they are built
+    `prepared` must hold `analyze_inner` and `endpoint` of the integer
+    forms `int_form` of v, n_left and n_right; without it they are built
     here, which validates the inputs.  Every witness exponent passes the
     exact product check of `is_witness`, on the endpoints' integer forms.
     Off the periodic scan a refusal names the solve:
     `SINGLE_CANDIDATE_FAILED` at d = 0, else `RATIO_EQUATION_UNSATISFIABLE`.
     """
     if prepared is None:
-        inner = analyze_inner(v)
-        prepared = Prepared(inner, endpoint(n_left, inner.v), endpoint(n_right, inner.v))
+        inner = analyze_inner(int_form(v))
+        prepared = Prepared(inner, *(endpoint(int_form(n), inner.v) for n in (n_left, n_right)))
     track = pair_problem(prepared)
     inner = prepared.inner
     if track.s0 == 0:
@@ -359,6 +348,6 @@ def decide_pair(
             if inner.char.discriminant == 0:
                 return NoExponent(RefusalReason.SINGLE_CANDIDATE_FAILED)
             return NoExponent(RefusalReason.RATIO_EQUATION_UNSATISFIABLE)
-    if not _annihilates(prepared.left.form, inner, prepared.right.form, k):
+    if not is_witness(prepared.left.form, inner, prepared.right.form, k):
         raise InternalError(f"witness exponent {k} fails the exact product check")
     return Witness(k)

@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 
 import pytest
 
@@ -185,6 +186,27 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert report["witness"] == [0, 1, 1, 1, 0]
     assert main(["oracle", path, "--max-len", "4"]) == 1
     capsys.readouterr()
+
+
+LONG_ENTRY = "1" + "0" * 5000  # 10^5000, past Python's 4,300-digit int-string limit
+
+
+@pytest.mark.parametrize("entry", [LONG_ENTRY, f'"{LONG_ENTRY}/1"'], ids=["integer", "rational-string"])
+def test_entries_of_any_length(tmp_path, capsys, entry):
+    # written by hand: json.dumps would itself hit the interpreter's limit
+    path = tmp_path / "long.json"
+    path.write_text(f'{{"matrices": [[[{entry}, 0], [0, 0]], [[0, 1], [1, 0]]]}}')
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    assert main(["decide", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "mortal"
+    assert report["witness"] == [0, 1, 0]
+    assert main(["verify", str(path), "0", "1", "0"]) == 0
+    assert capsys.readouterr().out == "zero product\n"
+    assert main(["oracle", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["witness"] == [0, 1, 0]
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
 
 
 def test_fuzz_subcommand(capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from mortality2x2 import Immortal, Instance, Mat2, Mortal, Unknown, decide, verify_witness
 from mortality2x2.linalg import Vec2, factor_rank_one, mat_pow, outer, rank
-from mortality2x2.pairs import Prepared, Witness, analyze_inner, decide_pair, endpoint
+from mortality2x2.pairs import Prepared, Witness, analyze_inner, decide_pair, endpoint, int_form
 from mortality2x2.decider import (
     IMMORTAL_ALL_INVERTIBLE,
     IMMORTAL_NO_ZERO_PAIR,
@@ -20,7 +20,7 @@ from mortality2x2.decider import (
     pad_singular,
     to_two_singular,
 )
-from helpers import plant_pair, rand_invertible_int, rand_rank_one, rand_rat
+from helpers import REGIMES, plant_pair, rand_invertible_int, rand_rank_one, rand_rat
 
 
 def mat(rows):
@@ -300,7 +300,7 @@ def _reference_decide(instance):
 
 def test_loop_regimes_have_the_intended_shape():
     for v, order in LOOP_REGIMES.values():
-        periodic = analyze_inner(v).periodic
+        periodic = analyze_inner(int_form(v)).periodic
         assert (periodic and periodic.order) == order
 
 
@@ -323,10 +323,10 @@ def test_decide_matches_a_loop_over_bare_decide_pair(name):
 @pytest.mark.parametrize("name", sorted(LOOP_REGIMES))
 def test_prepared_pairs_match_bare_pairs(name):
     v, _ = LOOP_REGIMES[name]
-    inner = analyze_inner(v)
+    inner = analyze_inner(int_form(v))
     for inst in _loop_instances(name, count=4):
         singulars = [inst.matrices[i] for i in inst.singular_indices]
-        ends = [endpoint(n, inner.v) for n in singulars]
+        ends = [endpoint(int_form(n), inner.v) for n in singulars]
         for left, n_left in zip(ends, singulars):
             for right, n_right in zip(ends, singulars):
                 bare = decide_pair(n_left, v, n_right)
@@ -395,3 +395,31 @@ def test_decide_takes_each_integer_form_and_determinant_once(monkeypatch):
             monkeypatch.setattr(module, "to_int_mat", counted_to_int_mat)
     assert decide(inst).exponent_witness == (0, 40, 0)
     assert calls == {"to_int_mat": 2, "det": 1}
+
+
+def test_decide_multiplies_and_zero_tests_only_integer_forms(monkeypatch):
+    # the zero-member, two-step and pair routes test zero on the members'
+    # integer forms: no Mat2 product and no Mat2 zero test
+    periodic_v = mat([[0, -1], [1, 0]])
+    cases = [
+        (Instance((mat([[1, 2], [3, 4]]), Mat2.zero())), MORTAL_ZERO_MEMBER),
+        (Instance((mat([[1, 0], [0, 0]]), mat([[0, 0], [Fraction(1, 3), 0]]))), MORTAL_TWO_STEP),
+        (Instance((mat([[1, 0], [0, 0]]), mat([[1, Fraction(1, 2)], [0, 0]]))), IMMORTAL_NO_ZERO_PAIR),
+        (Instance((mat([[1, 0], [0, 0]]), mat([[1, -2], [1, 0]]))), IMMORTAL_PAIRS_REFUSED),
+        (Instance((mat([[1, 0], [0, 0]]), periodic_v)), MORTAL_PAIR_EXPONENT),
+        (Instance((mat([[1, 1], [0, 0]]), periodic_v)), IMMORTAL_PAIRS_REFUSED),
+    ]
+    for v in (*REGIMES.values(), mat([[2, 1], [1, 1]]).scale(Fraction(1, 3))):
+        cases.append((Instance((mat([[1, 1], [0, 0]]), plant_pair(v, 7), v)), MORTAL_PAIR_EXPONENT))
+    calls = {"__mul__": 0, "is_zero": 0}
+    for name in calls:
+        real = getattr(Mat2, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(Mat2, name, counted)
+    for inst, certificate in cases:
+        assert decide(inst).certificate == certificate
+    assert calls == {"__mul__": 0, "is_zero": 0}

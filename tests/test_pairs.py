@@ -11,6 +11,7 @@ import pytest
 from mortality2x2 import InternalError, Mat2, RankError
 from mortality2x2.linalg import (
     CharPoly, Vec2, canon_int_mat, char_poly, factor_rank_one, is_scalar_multiple, mat_pow, outer,
+    to_int_mat,
 )
 from mortality2x2.pairs import (
     NoExponent,
@@ -21,6 +22,7 @@ from mortality2x2.pairs import (
     analyze_inner,
     decide_pair,
     endpoint,
+    int_form,
     is_witness,
     iter_recurrence,
     pair_problem,
@@ -46,8 +48,8 @@ def mat(rows):
 
 
 def _prepared(n_left, v, n_right):
-    inner = analyze_inner(v)
-    return Prepared(inner, endpoint(n_left, inner.v), endpoint(n_right, inner.v))
+    inner = analyze_inner(int_form(v))
+    return Prepared(inner, endpoint(int_form(n_left), inner.v), endpoint(int_form(n_right), inner.v))
 
 
 # --------------------------------------------------------------------- r_next
@@ -427,7 +429,7 @@ def _old_endpoint_factors(n):
 
 def test_endpoint_matches_the_rational_factorization():
     rng = random.Random(88)
-    inner = analyze_inner(mat([[Fraction(3, 2), 1], [Fraction(-1, 3), Fraction(1, 2)]]))
+    inner = analyze_inner(int_form(mat([[Fraction(3, 2), 1], [Fraction(-1, 3), Fraction(1, 2)]])))
     a, b, c, d = inner.v
     shapes = {"zero first row": 0, "zero first column": 0, "negative lead": 0}
     for trial in range(2000):
@@ -441,8 +443,9 @@ def test_endpoint_matches_the_rational_factorization():
         shapes["zero first column"] += n.e00 == n.e10 == 0
         shapes["negative lead"] += next(e for e in n.entries() if e != 0) < 0
         u, w = _old_endpoint_factors(n)
-        end = endpoint(n, inner.v)
+        end = endpoint(int_form(n), inner.v)
         assert (end.u, end.w, end.vu) == (u, w, (a * u[0] + b * u[1], c * u[0] + d * u[1]))
+        assert end.form == to_int_mat(n)
         assert is_scalar_multiple(n, outer(Vec2(*end.u), Vec2(*end.w))) is not None
     assert min(shapes.values()) >= 400
 
@@ -467,10 +470,11 @@ def test_zero_discriminant_witness_check_needs_no_power():
     start = time.perf_counter()
     assert decide_pair(n, v, n) == Witness(k)
     assert time.perf_counter() - start < 1
-    inner = analyze_inner(v)
-    assert is_witness(n, inner, n, k)
-    assert not is_witness(n, inner, n, k - 1)
-    assert not is_witness(n, inner, n, k + 1)
+    inner = analyze_inner(int_form(v))
+    a = to_int_mat(n)
+    assert is_witness(a, inner, a, k)
+    assert not is_witness(a, inner, a, k - 1)
+    assert not is_witness(a, inner, a, k + 1)
 
 
 def test_witness_check_matches_powering():
@@ -479,8 +483,9 @@ def test_witness_check_matches_powering():
     rng = random.Random(80)
     for v in (mat([[1, 1], [0, 1]]), mat([[Fraction(2, 3), Fraction(1, 3)], [0, Fraction(2, 3)]]),
               mat([[3, -1], [1, 1]]), mat([[2, 1], [1, 1]])):
-        inner = analyze_inner(v)
+        inner = analyze_inner(int_form(v))
         for _ in range(20):
             nl, nr = rand_rank_one(rng, 3, 3), rand_rank_one(rng, 3, 3)
+            left, right = to_int_mat(nl), to_int_mat(nr)
             for k in range(12):
-                assert is_witness(nl, inner, nr, k) == (nl * mat_pow(v, k) * nr).is_zero()
+                assert is_witness(left, inner, right, k) == (nl * mat_pow(v, k) * nr).is_zero()
