@@ -3,8 +3,9 @@
 A finite set of matrices is mortal when some finite product of its members
 (repetition allowed) equals the zero matrix.  For 2x2 rational matrices the
 question is decided here exactly, with verifiable witness words, whenever the
-set contains at most one invertible matrix; sets with two or more invertible
-members receive a bounded-search Unknown verdict.
+set contains at most one invertible matrix or no singular one (invertible
+members alone are Immortal, however many); sets with two or more invertible
+members and a singular one receive a bounded-search Unknown verdict.
 
 The package exports what callers of the decider use; the layers below it
 (`linalg`, `spectral`, `pairs`) are imported from their modules.

@@ -9,13 +9,15 @@ rejected.  Reports are printed as JSON with --json and are byte-stable for
 identical inputs apart from the timings block.
 
 Exit codes: 0 mortal / verified / clean fuzz run, 1 immortal / nonzero
-product / contradictions found, 2 unknown verdict, 64 malformed input.
+product / contradictions found, 2 unknown verdict, 64 malformed input,
+74 standard output closed before the report was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -31,6 +33,7 @@ EXIT_IMMORTAL = 1
 EXIT_FAIL = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT_ERROR = 64
+EXIT_OUTPUT_ERROR = 74
 
 
 class CliError(Exception):
@@ -243,10 +246,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = _PARSER.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except BrokenPipeError:
+        # The reader of stdout has gone.  Point fd 1 at devnull, so that the
+        # interpreter's flush of what is still buffered, at exit, cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OUTPUT_ERROR
     finally:
         if saved_limit is not None:
             sys.set_int_max_str_digits(saved_limit)

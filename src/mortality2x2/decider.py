@@ -1,10 +1,12 @@
 """Top-level mortality decision for a set of 2x2 rational matrices.
 
-Complete whenever the set contains at most one invertible matrix.  Each
-member's integer form and determinant (`int_form`) are taken once, first,
-and every check below runs on them:
+Complete whenever the set contains at most one invertible matrix or no
+singular one.  Each member's integer form and determinant (`int_form`) are
+taken once, first, and every check below runs on them:
 
 * a zero member (integer form `ZERO`) is an immediate length-1 witness;
+* with no singular member every product is invertible: Immortal, whatever
+  the number of invertible members;
 * with no invertible member, a mortal product must have length <= 2
   (interior factors of a minimal zero product are invertible), so every
   ordered pair of forms is multiplied out;
@@ -17,9 +19,9 @@ and every check below runs on them:
   member's rank check and factorization into primitive integer u, w with
   V u (`endpoint`) once per member, and only the two integer dot products,
   the scalar solve and any witness check once per pair;
-* with two or more invertible members the problem is out of scope; a
-  bounded product search still runs and may prove mortality, otherwise
-  the verdict is Unknown.
+* with two or more invertible members and a singular one the problem is
+  out of scope; a bounded product search still runs and may prove
+  mortality, otherwise the verdict is Unknown.
 
 Also provides the instance transformations that normalize the number of
 singular members (pairing with a negated copy, padding with nonzero
@@ -95,7 +97,8 @@ class Immortal:
 
 @dataclass(frozen=True)
 class Unknown:
-    """Out of scope (two or more invertible members); searched up to a bound."""
+    """Out of scope (two or more invertible members and a singular one);
+    searched up to a bound."""
 
     search_bound: int
     certificate: str = UNKNOWN_OUT_OF_SCOPE
@@ -120,6 +123,9 @@ def decide(instance: Instance, oracle_bound: int = 8) -> Verdict:
     invertibles = tuple(i for i, (_, det) in enumerate(forms) if det != 0)
     singulars = tuple(i for i, (_, det) in enumerate(forms) if det == 0)
 
+    if not singulars:
+        return Immortal(IMMORTAL_ALL_INVERTIBLE)
+
     if not invertibles:
         for i, (a, _) in enumerate(forms):
             for j, (b, _) in enumerate(forms):
@@ -134,9 +140,6 @@ def decide(instance: Instance, oracle_bound: int = 8) -> Verdict:
         if word is not None:
             return Mortal(word, MORTAL_BOUNDED_SEARCH)
         return Unknown(oracle_bound)
-
-    if not singulars:
-        return Immortal(IMMORTAL_ALL_INVERTIBLE)
 
     v_index = invertibles[0]
     v = mats[v_index]

@@ -138,10 +138,6 @@ class Mat2:
     def is_zero(self) -> bool:
         return self.e00 == 0 and self.e01 == 0 and self.e10 == 0 and self.e11 == 0
 
-    def is_scalar(self) -> bool:
-        """True when the matrix is a rational multiple of the identity."""
-        return self.e01 == 0 and self.e10 == 0 and self.e00 == self.e11
-
 
 def outer(u: Vec2, v: Vec2) -> Mat2:
     """Outer product u v^T (rank <= 1 by construction)."""
@@ -150,7 +146,8 @@ def outer(u: Vec2, v: Vec2) -> Mat2:
 
 @dataclass(frozen=True, slots=True)
 class CharPoly:
-    """Coefficients of the characteristic polynomial x^2 + b x + c.
+    """Coefficients of the characteristic polynomial x^2 + b x + c, kept as
+    `int`s when both are (as on V's integer form), else as `Fraction`s.
 
     Two invariants are derived once, at construction: the discriminant
     d = b^2 - 4c, and the seed b^2/c - 2 = l1/l2 + l2/l1, twice the
@@ -159,17 +156,19 @@ class CharPoly:
     [-2, 2) for d < 0, and off [-2, 2] for d > 0 unless b = 0 (seed -2).
     """
 
-    b: Rat
-    c: Rat
-    discriminant: Rat = field(init=False, repr=False, compare=False)
+    b: RatLike
+    c: RatLike
+    discriminant: RatLike = field(init=False, repr=False, compare=False)
     seed: Optional[Rat] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        b, c = _rat(self.b), _rat(self.c)
+        b, c = self.b, self.c
+        if type(b) is not int or type(c) is not int:
+            b, c = _rat(b), _rat(c)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "discriminant", b * b - 4 * c)
-        object.__setattr__(self, "seed", b * b / c - 2 if c else None)
+        object.__setattr__(self, "seed", Fraction(b * b - 2 * c, c) if c else None)
 
 
 def rank(m: Mat2) -> int:

@@ -28,10 +28,10 @@ Since N (tV)^k M = t^k N V^k M, scaling a member changes nothing, so the
 work runs on primitive integer forms, and every member enters through its
 integer form and determinant `int_form`, the one input of `analyze_inner`
 and `endpoint`.  `analyze_inner` does what depends on V alone -- the
-invertibility check, V's canonical form, its characteristic polynomial
-with integer b, c and the seed, and the periodicity test -- and `endpoint`
-reads a singular member's rank test, primitive column u, primitive row w
-and V u off its form.  Per pair only the integer dot products
+invertibility check, V's canonical form and, on that form, its `int` b
+and c with the seed (`CharPoly`) and the period test `period_order` --
+and `endpoint` reads a singular member's rank test, primitive column u,
+primitive row w and V u off its form.  Per pair only the integer dot products
 s0 = w_l . u_r, s1 = w_l . (V u_r), the scalar solve and the witness check
 remain, so `decider.decide` builds the rest once and passes it in; a bare
 `decide_pair` takes the three forms itself and then runs the same path.
@@ -53,9 +53,9 @@ from typing import Iterator, NamedTuple, Optional, Union
 
 from .linalg import (
     ZERO, CharPoly, IntMat, IntVec, InternalError, Mat2, Rat, RatLike, RankError,
-    canon_int_mat, char_poly, int_mat_mul, int_mat_pow, to_int_mat,
+    canon_int_mat, int_mat_mul, int_mat_pow, to_int_mat,
 )
-from .spectral import PeriodResult, _cheb_index, power_similar_identity
+from .spectral import _cheb_index, period_order
 
 
 class RefusalReason(str, enum.Enum):
@@ -118,13 +118,13 @@ class InnerAnalysis:
     """What every pair question over one invertible V shares.
 
     `v` is V's canonical primitive integer form and `char` its characteristic
-    polynomial, with integer b and c, the discriminant and the seed;
-    `periodic` is the minimal m with V^m a scalar matrix, when one exists.
+    polynomial, with `int` b and c, the discriminant and the seed; `order`
+    is the minimal m with V^m a scalar matrix, when one exists.
     """
 
     v: IntMat
     char: CharPoly
-    periodic: Optional[PeriodResult]
+    order: Optional[int]
 
 
 IntForm = tuple[IntMat, int]
@@ -143,10 +143,8 @@ def analyze_inner(form: IntForm) -> InnerAnalysis:
     a, det = form
     if det == 0:
         raise ValueError("inner matrix must be invertible")
-    canon = canon_int_mat(a)
-    v = Mat2(*canon)
-    cp = char_poly(v)
-    return InnerAnalysis(canon, cp, power_similar_identity(v, cp))
+    v = canon_int_mat(a)
+    return InnerAnalysis(v, CharPoly(-(v[0] + v[3]), v[0] * v[3] - v[1] * v[2]), period_order(v))
 
 
 @dataclass(frozen=True)
@@ -192,14 +190,14 @@ def pair_problem(prepared: Prepared) -> ScalarRecurrence:
     inner, left, right = prepared
     cp = inner.char
     (w0, w1), (u0, u1), (vu0, vu1) = left.w, right.u, right.vu
-    return ScalarRecurrence(cp.b.numerator, cp.c.numerator, w0 * u0 + w1 * u1, w0 * vu0 + w1 * vu1)
+    return ScalarRecurrence(cp.b, cp.c, w0 * u0 + w1 * u1, w0 * vu0 + w1 * vu1)
 
 
 def r_next(b: Rat, c: Rat, r_prev: Rat) -> Optional[Rat]:
     """One Moebius step c/(b - r_prev); None when the step is undefined.
 
     The undefined step can only occur when V^k is itself similar to the
-    identity, which callers exclude via `power_similar_identity`.
+    identity, which callers exclude via `period_order`.
     """
     if c == 0:
         raise ValueError("c must be nonzero (invertible matrix)")
@@ -255,7 +253,7 @@ def solve_r_eq_x(cp: CharPoly, x: Rat) -> Optional[int]:
     if cp.c == 0:
         raise ValueError("c must be nonzero (invertible matrix)")
     if cp.b == 0:
-        raise ValueError("b = 0 makes V^2 scalar, which is periodic; handle via power_similar_identity")
+        raise ValueError("b = 0 makes V^2 scalar, which is periodic; handle via period_order")
     if cp.b.denominator != 1 or cp.c.denominator != 1:
         raise ValueError("b and c must be integers; scale V to an integer matrix first")
     b, c = cp.b.numerator, cp.c.numerator
@@ -310,7 +308,7 @@ def is_witness(left: IntMat, inner: InnerAnalysis, right: IntMat, k: int) -> boo
     """
     v = inner.v
     if inner.char.discriminant == 0:
-        shift = (k - 1) * inner.char.b.numerator
+        shift = (k - 1) * inner.char.b
         power = (2 * k * v[0] + shift, 2 * k * v[1], 2 * k * v[2], 2 * k * v[3] + shift)
     else:
         power = int_mat_pow(v, k)
@@ -337,9 +335,9 @@ def decide_pair(
     inner = prepared.inner
     if track.s0 == 0:
         k = 0
-    elif inner.periodic is not None:
+    elif inner.order is not None:
         # V^m = scalar * I makes zeros of s repeat with period m: scan one period.
-        k = track.first_zero(1, inner.periodic.order)
+        k = track.first_zero(1, inner.order)
         if k is None:
             return NoExponent(RefusalReason.PERIODIC_SCAN_EXHAUSTED)
     else:

@@ -5,7 +5,7 @@ Three pieces live here:
 * ``QuadNum`` -- exact arithmetic in a quadratic extension Q(sqrt(d)), with
   ``quad_pow`` its square-and-multiply power.  The engine no longer uses
   them; they stay only for their tests and the benchmark tracer, until the
-  benchmark stops naming them (ROADMAP item 3).
+  benchmark stops naming them (ROADMAP item 1).
 * ``cheb_solve`` -- given rational p, q in [-1, 1], the exact solution set of
   T_n(p) = q over nonnegative integers n, where T_n is the degree-n Chebyshev
   polynomial of the first kind (equivalently cos(n*theta) = q when
@@ -13,8 +13,9 @@ Three pieces live here:
   exponent engine calls for the rational part of its power equation, with
   the seed b^2/c - 2 = 2 Re(rho) of V as its doubled p, for complex and
   real eigenvalues alike.
-* ``power_similar_identity`` -- the minimal m >= 1 such that A^m is a nonzero
-  rational multiple of the identity, when one exists, read off the seed.
+* ``period_order`` -- the minimal m >= 1 with V^m scalar for an invertible
+  integer V, read off its seed and confirmed by one integer power;
+  ``power_similar_identity`` is its face on a rational ``Mat2``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .linalg import CharPoly, InternalError, Mat2, Rat, RatLike, _rat, char_poly, mat_pow
+from .linalg import IntMat, InternalError, Mat2, Rat, RatLike, _rat, int_mat_pow, mat_pow, to_int_mat
 
 
 @dataclass(frozen=True, slots=True)
@@ -258,29 +259,30 @@ class PeriodResult:
     scalar: Rat
 
 
-def power_similar_identity(a: Mat2, cp: Optional[CharPoly] = None) -> Optional[PeriodResult]:
-    """Minimal m >= 1 with A^m a nonzero multiple of I, or None.
+def period_order(v: IntMat) -> Optional[int]:
+    """Minimal m >= 1 with v^m scalar, for an invertible integer v, or None.
 
-    Scalar matrices have m = 1.  A non-scalar A has A^m scalar exactly when
-    its eigenvalue ratio rho is an m-th root of unity other than 1 (rho = 1
-    is a repeated eigenvalue of a defective A).  rho + 1/rho is the seed
-    b^2/c - 2 of `CharPoly`, an integer in [-2, 2] for a root of unity, so
-    only the seeds -2, -1, 0 and 1 are periodic, with m = 2, 3, 4 and 6;
-    real distinct eigenvalues reach them only at b = 0 (seed -2, ratio -1).
-    `cp`, if given, is `char_poly(a)`, already at hand in the caller, and
-    its c stands in for a's determinant.
+    A non-scalar v (m = 1 otherwise) has v^m scalar exactly when its
+    eigenvalue ratio rho is an m-th root of unity other than 1 (rho = 1 is a
+    repeated eigenvalue of a defective v).  rho + 1/rho is then the seed
+    b^2/c - 2 = trace^2/det - 2, an integer in [-2, 2): one of the keys
+    -2, -1, 0 and 1 of `_ORDER_BY_SEED`, with m = 2, 3, 4 and 6.
     """
-    if cp is None:
-        cp = char_poly(a)
-    if cp.c == 0:
+    trace, det = v[0] + v[3], v[0] * v[3] - v[1] * v[2]
+    if det == 0:
         raise ValueError("matrix must be invertible")
-    if a.is_scalar():
-        return PeriodResult(1, a.e00)
-    order = _ORDER_BY_SEED.get(cp.seed)
-    if order is None:
-        return None
-    power = mat_pow(a, order)
-    scalar = power.e00
-    if not power.is_scalar() or scalar == 0:
-        raise InternalError("order classification is exact")
-    return PeriodResult(order, scalar)
+    if v[1] == v[2] == 0 and v[0] == v[3]:
+        return 1
+    order = None if trace * trace % det else _ORDER_BY_SEED.get(trace * trace // det - 2)
+    if order is not None:
+        power = int_mat_pow(v, order)
+        if power[1] or power[2] or power[0] != power[3]:
+            raise InternalError("order classification is exact")
+    return order
+
+
+def power_similar_identity(a: Mat2) -> Optional[PeriodResult]:
+    """`period_order` of a, run on its integer form (a positive multiple of
+    a), with the scalar of a^m."""
+    order = period_order(to_int_mat(a))
+    return None if order is None else PeriodResult(order, mat_pow(a, order).e00)

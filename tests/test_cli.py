@@ -1,8 +1,11 @@
 """Command-line interface: file ingestion, verdict reports, exit codes."""
 
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +15,7 @@ from mortality2x2.cli import main
 PLANTED = {"matrices": [[[7, -8], [0, 0]], [[2, 0], [1, 1]]]}
 IMMORTAL = {"matrices": [[[1, 0], [0, 0]], [[1, -2], [1, 0]]]}
 ZERO = {"matrices": [[[0, 0], [0, 0]]]}
-TWO_INVERTIBLE = {"matrices": [[[2, 0], [0, 1]], [[1, 1], [0, 1]]]}
+OUT_OF_SCOPE = {"matrices": [[[2, 0], [0, 1]], [[1, 1], [0, 1]], [[1, 0], [0, 0]]]}
 RATIONAL_ENTRIES = {"matrices": [[["-1/2", 0], [0, 0]], [["1/3", "2/3"], [1, 2]]]}
 
 
@@ -48,7 +51,7 @@ def test_decide_immortal_instance(tmp_path, capsys):
 
 
 def test_decide_unknown_instance(tmp_path, capsys):
-    code = main(["decide", write(tmp_path, TWO_INVERTIBLE), "--json", "--oracle-bound", "5"])
+    code = main(["decide", write(tmp_path, OUT_OF_SCOPE), "--json", "--oracle-bound", "5"])
     report = json.loads(capsys.readouterr().out)
     assert code == 2
     assert report["verdict"] == "unknown"
@@ -148,7 +151,7 @@ UNKNOWN_REPORT = """{
         (PLANTED, MORTAL_REPORT),
         (ZERO, ZERO_MEMBER_REPORT),
         (IMMORTAL, IMMORTAL_REPORT),
-        (TWO_INVERTIBLE, UNKNOWN_REPORT),
+        (OUT_OF_SCOPE, UNKNOWN_REPORT),
     ],
 )
 def test_decide_json_text_is_golden(tmp_path, capsys, doc, golden):
@@ -288,6 +291,30 @@ def test_numbers_below_one_exit_64(tmp_path, capsys, command, option):
     # invertible member can be drawn) or ends in a verdict exit code
     argv = [command, option, "0"]
     if command != "fuzz":
-        argv.insert(1, write(tmp_path, TWO_INVERTIBLE))
+        argv.insert(1, write(tmp_path, OUT_OF_SCOPE))
     assert main(argv) == 64
     assert "must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_closed_reader_exits_74_without_a_traceback(tmp_path, buffered):
+    # the reader of stdout is gone before the report is written, as with
+    # `decide FILE | head -2`; the exit code must not read as a verdict.
+    # Buffered, the write fails only when stdout is flushed; unbuffered, in
+    # the print itself.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mortality2x2.cli", "decide", write(tmp_path, PLANTED), "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_OUTPUT_ERROR == 74
+    assert proc.stderr == ""

@@ -71,10 +71,16 @@ def test_decide_only_invertible_is_immortal():
     assert decide(Instance((mat([[2, 0], [1, 1]]),))) == Immortal(IMMORTAL_ALL_INVERTIBLE)
 
 
-def test_decide_two_invertibles_is_unknown():
+def test_decide_two_invertibles_alone_are_immortal():
+    # every product of invertible members is invertible, however many there are
     inst = Instance((mat([[2, 0], [0, 1]]), mat([[1, 1], [0, 1]])))
-    verdict = decide(inst, oracle_bound=6)
-    assert verdict == Unknown(6)
+    assert decide(inst, oracle_bound=6) == Immortal(IMMORTAL_ALL_INVERTIBLE)
+
+
+def test_decide_two_invertibles_with_a_singular_member_are_unknown():
+    # immortal, as every product has a positive (0, 0) entry, but out of scope
+    inst = Instance((mat([[2, 0], [0, 1]]), mat([[1, 1], [0, 1]]), mat([[1, 0], [0, 0]])))
+    assert decide(inst, oracle_bound=6) == Unknown(6)
 
 
 def test_decide_two_invertibles_mortal_via_search_needs_zero():
@@ -300,8 +306,7 @@ def _reference_decide(instance):
 
 def test_loop_regimes_have_the_intended_shape():
     for v, order in LOOP_REGIMES.values():
-        periodic = analyze_inner(int_form(v)).periodic
-        assert (periodic and periodic.order) == order
+        assert analyze_inner(int_form(v)).order == order
 
 
 @pytest.mark.parametrize("name", sorted(LOOP_REGIMES))
@@ -348,6 +353,7 @@ def test_decide_hoists_the_per_v_and_per_member_work(monkeypatch):
         ("linalg", "canon_int_mat"),
         ("pairs", "endpoint"),
         ("spectral", "power_similar_identity"),
+        ("spectral", "period_order"),
         ("pairs", "decide_pair"),
     ):
         original = getattr(sys.modules["mortality2x2." + owner], fn_name)
@@ -363,10 +369,11 @@ def test_decide_hoists_the_per_v_and_per_member_work(monkeypatch):
                     monkeypatch.setattr(module, attr, counted)
     assert decide(inst) == Immortal(IMMORTAL_PAIRS_REFUSED)
     assert calls == {
-        "char_poly": 1,
+        "char_poly": 0,  # V's characteristic polynomial is read off its integer form
         "canon_int_mat": 1 + 2 * 6,  # once for V, twice per member (u and w)
         "endpoint": 6,
-        "power_similar_identity": 1,
+        "power_similar_identity": 0,
+        "period_order": 1,
         "decide_pair": 36,
     }
 
@@ -374,7 +381,7 @@ def test_decide_hoists_the_per_v_and_per_member_work(monkeypatch):
 def test_decide_takes_each_integer_form_and_determinant_once(monkeypatch):
     # one planted pair: the members' integer forms and determinants are
     # taken once, in decide, and reused by analyze_inner, endpoint and the
-    # witness check; the one Mat2.det left is char_poly's on the canonical V
+    # witness check, so no Mat2.det is left
     v = mat([[2, 1], [1, 1]])
     inst = Instance((plant_pair(v, 40), v))
     calls = {"to_int_mat": 0, "det": 0}
@@ -394,12 +401,12 @@ def test_decide_takes_each_integer_form_and_determinant_once(monkeypatch):
         if name.startswith("mortality2x2") and getattr(module, "to_int_mat", None) is real_to_int_mat:
             monkeypatch.setattr(module, "to_int_mat", counted_to_int_mat)
     assert decide(inst).exponent_witness == (0, 40, 0)
-    assert calls == {"to_int_mat": 2, "det": 1}
+    assert calls == {"to_int_mat": 2, "det": 0}
 
 
 def test_decide_multiplies_and_zero_tests_only_integer_forms(monkeypatch):
     # the zero-member, two-step and pair routes test zero on the members'
-    # integer forms: no Mat2 product and no Mat2 zero test
+    # integer forms: no Mat2 product, zero test, determinant or new Mat2
     periodic_v = mat([[0, -1], [1, 0]])
     cases = [
         (Instance((mat([[1, 2], [3, 4]]), Mat2.zero())), MORTAL_ZERO_MEMBER),
@@ -411,7 +418,7 @@ def test_decide_multiplies_and_zero_tests_only_integer_forms(monkeypatch):
     ]
     for v in (*REGIMES.values(), mat([[2, 1], [1, 1]]).scale(Fraction(1, 3))):
         cases.append((Instance((mat([[1, 1], [0, 0]]), plant_pair(v, 7), v)), MORTAL_PAIR_EXPONENT))
-    calls = {"__mul__": 0, "is_zero": 0}
+    calls = {"__mul__": 0, "is_zero": 0, "det": 0, "__post_init__": 0}
     for name in calls:
         real = getattr(Mat2, name)
 
@@ -422,4 +429,4 @@ def test_decide_multiplies_and_zero_tests_only_integer_forms(monkeypatch):
         monkeypatch.setattr(Mat2, name, counted)
     for inst, certificate in cases:
         assert decide(inst).certificate == certificate
-    assert calls == {"__mul__": 0, "is_zero": 0}
+    assert calls == {"__mul__": 0, "is_zero": 0, "det": 0, "__post_init__": 0}

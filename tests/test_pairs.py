@@ -30,6 +30,7 @@ from mortality2x2.pairs import (
     solve_r_eq_x,
     solve_ratio_power,
 )
+from mortality2x2.spectral import power_similar_identity
 from mortality2x2 import pairs
 from helpers import (
     REGIMES,
@@ -448,6 +449,49 @@ def test_endpoint_matches_the_rational_factorization():
         assert end.form == to_int_mat(n)
         assert is_scalar_multiple(n, outer(Vec2(*end.u), Vec2(*end.w))) is not None
     assert min(shapes.values()) >= 400
+
+
+# Integer V whose least scalar power is V^m, with m = 1, 2, 3, 4 and 6.
+PERIOD_BASES = (
+    ((1, 0, 0, 1), 1),
+    ((0, -1, 1, 0), 2),
+    ((1, 2, 3, -1), 2),  # real eigenvalues of opposite sign, negative determinant
+    ((0, -1, 1, -1), 3),
+    ((1, -1, 1, 1), 4),
+    ((2, -1, 1, 1), 6),
+)
+
+
+def test_inner_analysis_matches_the_rational_char_poly_and_period():
+    # V's analysis, read off its integer form, agrees with the rational
+    # route on random rational V, planted periodic V and copies scaled by
+    # 1/3; b, c and the discriminant stay ints
+    rng = random.Random(111)
+    seen = {"orders": set(), "negative det": 0}
+    for trial in range(1500):
+        if trial % 3:
+            v = mat([[rand_rat(rng, 9, 6) for _ in range(2)] for _ in range(2)])
+            if v.det() == 0:
+                continue
+        else:
+            base, _ = PERIOD_BASES[trial // 3 % len(PERIOD_BASES)]
+            p = rand_invertible_int(rng, -3, 3)
+            adj = Mat2(p.e11, -p.e01, -p.e10, p.e00)
+            v = (p * Mat2(*base) * adj).scale(rand_rat(rng, 5, 4) or 1)
+        for w in (v, v.scale(Fraction(1, 3))):
+            inner = analyze_inner(int_form(w))
+            cp = inner.char
+            assert cp == char_poly(Mat2(*inner.v))
+            assert (type(cp.b), type(cp.c), type(cp.discriminant)) == (int, int, int)
+            period = power_similar_identity(w)
+            assert inner.order == (period.order if period else None)
+            seen["orders"].add(inner.order)
+        seen["negative det"] += v.det() < 0
+    assert seen["orders"] == {None, 1, 2, 3, 4, 6}
+    assert seen["negative det"] >= 300
+    assert [analyze_inner(int_form(Mat2(*base))).order for base, _ in PERIOD_BASES] == [
+        order for _, order in PERIOD_BASES
+    ]
 
 
 def test_witness_check_survives_a_wrong_power(monkeypatch):

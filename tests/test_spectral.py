@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mortality2x2 import Mat2, spectral
+from mortality2x2 import InternalError, Mat2, spectral
 from mortality2x2.linalg import is_scalar_multiple, mat_pow
 from mortality2x2.spectral import (
     Empty,
@@ -19,6 +19,7 @@ from mortality2x2.spectral import (
     _cheb_index,
     _cheb_ladder,
     cheb_solve,
+    period_order,
     power_similar_identity,
     quad_pow,
 )
@@ -212,6 +213,26 @@ def test_power_similar_identity_minimality_and_order_range():
         for j in range(1, result.order):
             assert is_scalar_multiple(mat_pow(a, j), identity) is None
     assert {1, 2} <= found_orders  # scalars and trace-zero matrices are common
+
+
+def test_period_order_on_integer_forms():
+    assert period_order((5, 0, 0, 5)) == 1
+    assert period_order((0, 2, 1, 0)) == 2
+    assert period_order((2, -1, 1, 1)) == 6
+    assert period_order((2, 1, 1, 1)) is None  # c does not divide b^2
+    assert period_order((1, 1, 0, 1)) is None  # seed 2, d = 0
+    for zero_det in ((0, 0, 0, 0), (1, 2, 2, 4)):
+        with pytest.raises(ValueError):
+            period_order(zero_det)
+
+
+def test_period_order_survives_a_wrong_power(monkeypatch):
+    # the confirming power is not an assert: a non-scalar power must raise
+    real_pow = spectral.int_mat_pow
+    monkeypatch.setattr(spectral, "int_mat_pow", lambda a, k: real_pow(a, k + 1))
+    assert period_order((3, 0, 0, 3)) == 1  # needs no power
+    with pytest.raises(InternalError):
+        period_order((1, -1, 1, 1))
 
 
 # ------------------------------------------------------- QuadNum / quad_pow
