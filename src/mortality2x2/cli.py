@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from itertools import groupby
 from typing import Optional, Sequence
 
 from .decider import Immortal, Instance, Mortal, Unknown, Verdict, decide, verify_witness
@@ -116,14 +117,37 @@ def _verdict_report(verdict: Verdict, timings: dict) -> dict:
     return report
 
 
+def _join_runs(word: Sequence[int], sep: str) -> str:
+    """sep.join(map(str, word)), one string repeat per run of equal indices."""
+    return "".join((sep + str(i)) * len(list(run)) for i, run in groupby(word))[len(sep):]
+
+
+def _json_text(value: object, indent: str = "") -> str:
+    """Exactly json.dumps(value, indent=2) for a report (string keys), but a
+    flat list of ints, such as a witness word, is written run by run instead
+    of element by element by the pure-Python indenting encoder."""
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict) and value:
+        body = sep.join(json.dumps(key) + ": " + _json_text(item, inner) for key, item in value.items())
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)) and value:
+        if set(map(type, value)) == {int}:
+            body = _join_runs(value, sep)
+        else:
+            body = sep.join(_json_text(item, inner) for item in value)
+        return "[\n" + inner + body + "\n" + indent + "]"
+    return json.dumps(value)
+
+
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report, indent=2))
+        print(_json_text(report))
         return
     verdict = report["verdict"]
     print(f"verdict: {verdict}")
     if report.get("witness") is not None:
-        print(f"witness word: {' '.join(str(i) for i in report['witness'])}")
+        print(f"witness word: {_join_runs(report['witness'], ' ')}")
     if report.get("exponent_witnesses"):
         for i, k, j in report["exponent_witnesses"]:
             print(f"exponent witness: left={i} exponent={k} right={j}")
@@ -171,12 +195,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             "max_len": args.max_len,
             "timings": elapsed,
         }
-        print(json.dumps(report, indent=2))
+        print(_json_text(report))
     else:
         if word is None:
             print(f"no zero product of length <= {args.max_len}")
         else:
-            print(f"witness word: {' '.join(str(i) for i in word)}")
+            print(f"witness word: {_join_runs(word, ' ')}")
     return EXIT_OK if word is not None else EXIT_FAIL
 
 
@@ -190,7 +214,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     )
     doc = report.as_dict()
     if args.json:
-        print(json.dumps(doc, indent=2))
+        print(_json_text(doc))
     else:
         print(
             f"{report.count} instances: {report.mortal} mortal, "

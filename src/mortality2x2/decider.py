@@ -31,10 +31,11 @@ multiples, cross-splitting two rank-1 factors), each preserving mortality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from typing import Iterable, Optional, Union
 
-from .linalg import ZERO, Mat2, RankError, factor_rank_one, int_mat_mul, outer, rank
+from .linalg import ZERO, Mat2, RankError, factor_rank_one, int_mat_mul, outer, rank, to_int_mat
 from .pairs import Prepared, Witness, analyze_inner, decide_pair, endpoint, int_form
 
 Word = tuple[int, ...]
@@ -155,15 +156,19 @@ def decide(instance: Instance, oracle_bound: int = 8) -> Verdict:
 
 
 def verify_witness(instance: Instance, word: Word) -> bool:
-    """True iff the exact left-to-right product over `word` is zero."""
+    """True iff the exact left-to-right product over `word` is zero.
+
+    The product is taken over the members' integer forms, each a positive
+    multiple of the member, so it is zero exactly when the rational one is.
+    """
     if not word:
         raise ValueError("witness word must be nonempty")
-    product = Mat2.identity()
-    for index in word:
-        if not 0 <= index < len(instance.matrices):
-            raise IndexError(f"word index {index} out of range")
-        product = product * instance.matrices[index]
-    return product.is_zero()
+    n = len(instance.matrices)
+    if min(word) < 0 or max(word) >= n:
+        index = next(i for i in word if not 0 <= i < n)
+        raise IndexError(f"word index {index} out of range")
+    forms = {i: to_int_mat(instance.matrices[i]) for i in set(word)}
+    return reduce(int_mat_mul, map(forms.__getitem__, word)) == ZERO
 
 
 def to_two_singular(instance: Instance) -> list[Instance]:

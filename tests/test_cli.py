@@ -2,15 +2,19 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mortality2x2 import cli
+from mortality2x2 import Immortal, Mortal, Unknown, cli
 from mortality2x2.cli import main
+from mortality2x2.oracle import FuzzReport
 
 PLANTED = {"matrices": [[[7, -8], [0, 0]], [[2, 0], [1, 1]]]}
 IMMORTAL = {"matrices": [[[1, 0], [0, 0]], [[1, -2], [1, 0]]]}
@@ -159,6 +163,83 @@ def test_decide_json_text_is_golden(tmp_path, capsys, doc, golden):
     main(["decide", write(tmp_path, doc), "--json", "--oracle-bound", "5"])
     out = re.sub(r'("(?:parse|decide)_ms": )[^,\n]+', r"\g<1>0", capsys.readouterr().out)
     assert out == golden
+
+
+TIMINGS = {"parse_ms": 0.123, "decide_ms": 45.0}
+WORDS = {
+    "one": [3],
+    "two-runs": [0, 0, 1],
+    "planted": [0] + [1] * 4998 + [0],
+    "alternating": [0, 1] * 2500,
+    "random": [random.Random(0).randrange(4) for _ in range(5000)],
+}
+REPORTS = {
+    "pair-exponent": cli._verdict_report(Mortal((0, 1, 1, 1, 0), "pair-exponent", (0, 3, 0)), TIMINGS),
+    "zero-member": cli._verdict_report(Mortal((0,), "zero-member"), TIMINGS),
+    "two-step": cli._verdict_report(Mortal((1, 0), "two-step-product"), TIMINGS),
+    "bounded-search": cli._verdict_report(Mortal((2, 0, 1, 2), "bounded-search"), TIMINGS),
+    "immortal": cli._verdict_report(Immortal("all-pairs-refused"), TIMINGS),
+    "unknown": cli._verdict_report(Unknown(5), TIMINGS),
+    "fuzz-clean": FuzzReport(count=3, seed=1, bound=8, mortal=2, immortal=1, decide_seconds=0.0123).as_dict(),
+    "fuzz-failing": FuzzReport(count=9, seed=0, bound=8, witness_failures=2, failing_seeds=[4, 4, 7]).as_dict(),
+    "oracle-found": {"found": True, "witness": [0, 1, 1, 1, 0], "max_len": 8, "timings": {"search_ms": 1.5}},
+    "oracle-not-found": {"found": False, "witness": None, "max_len": 4, "timings": {"search_ms": 0.25}},
+    "empty-list": [],
+    "empty-dict": {},
+    "empty-members": {"a": [], "b": {}, "c": [[], {}]},
+    **{f"word-{name}": {"witness": word, "exponent_witnesses": [[0, len(word), 0]]} for name, word in WORDS.items()},
+}
+
+
+@pytest.mark.parametrize("report", REPORTS.values(), ids=REPORTS.keys())
+def test_json_text_is_json_dumps_indent_2(report):
+    assert cli._json_text(report) == json.dumps(report, indent=2)
+
+
+@pytest.mark.parametrize("word", WORDS.values(), ids=WORDS.keys())
+def test_word_runs_join_like_str_join(word):
+    assert cli._join_runs(word, " ") == " ".join(map(str, word))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=6) | st.dictionaries(st.text(max_size=5), children, max_size=6),
+    max_leaves=40,
+)
+
+
+@given(json_values | st.lists(st.integers(-3, 3) | st.booleans()))
+@settings(max_examples=300)
+def test_json_text_matches_json_dumps_on_any_report_shape(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+# N = u w^T with u = (0, 1), w = (1, -2000) and the shear V = [[1, 1], [0, 1]]:
+# w . V^k u = k - 2000, so the witness is (0, 1 x 2000, 0)
+SHEAR_2000 = {"matrices": [[[0, 0], [1, -2000]], [[1, 1], [0, 1]]]}
+
+
+def test_decide_json_never_runs_the_pure_python_encoder(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.encoder._make_iterencode called")
+
+    path = write(tmp_path, SHEAR_2000)
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    assert main(["decide", path, "--json"]) == 0
+    monkeypatch.undo()
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert report["witness"] == [0] + [1] * 2000 + [0]
+    assert out == json.dumps(report, indent=2) + "\n"
+
+
+def test_text_word_lines_list_every_index(tmp_path, capsys):
+    path = write(tmp_path, SHEAR_2000)
+    line = "witness word: " + " ".join(["0"] + ["1"] * 2000 + ["0"]) + "\n"
+    assert main(["decide", path]) == 0
+    assert line in capsys.readouterr().out
+    assert main(["oracle", write(tmp_path, PLANTED, "planted.json")]) == 0
+    assert capsys.readouterr().out == "witness word: 0 1 1 1 0\n"
 
 
 def test_verify_round_trip(tmp_path, capsys):

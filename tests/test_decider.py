@@ -20,7 +20,15 @@ from mortality2x2.decider import (
     pad_singular,
     to_two_singular,
 )
-from helpers import REGIMES, plant_pair, rand_invertible_int, rand_rank_one, rand_rat
+from helpers import (
+    REGIMES,
+    plant_pair,
+    rand_invertible_int,
+    rand_mat,
+    rand_nonperiodic_invertible,
+    rand_rank_one,
+    rand_rat,
+)
 
 
 def mat(rows):
@@ -126,8 +134,34 @@ def test_verify_witness_examples():
     assert not verify_witness(Instance((Mat2.identity(),)), (0,))
     with pytest.raises(IndexError):
         verify_witness(inst, (0, 5))
+    with pytest.raises(IndexError):
+        verify_witness(inst, (-1, 0))
     with pytest.raises(ValueError):
         verify_witness(inst, ())
+
+
+def test_verify_witness_matches_the_rational_product():
+    # reference: the left-to-right Mat2 product; members have fractional
+    # entries and include scaled copies, words are planted, near misses or random
+    outcomes = {True: 0, False: 0}
+    for seed in range(300):
+        rng = random.Random(seed)
+        v = rand_nonperiodic_invertible(rng)
+        k = rng.randint(1, 6)
+        n = plant_pair(v, k)
+        scale = rand_rat(rng, 5, 5) or Fraction(1, 7)
+        mats = (n.scale(scale), v.scale(Fraction(1, rng.randint(2, 5))), n, rand_rank_one(rng, 3, 3), rand_mat(rng, 4, 4))
+        inst = Instance(mats)
+        words = [(0,) + (1,) * k + (2,), (2,) + (1,) * (k + 1) + (0,), (3,)]
+        words += [tuple(rng.randrange(len(mats)) for _ in range(rng.randint(1, 8))) for _ in range(6)]
+        for word in words:
+            product = Mat2.identity()
+            for i in word:
+                product = product * mats[i]
+            got = verify_witness(inst, word)
+            assert got == product.is_zero(), (seed, word)
+            outcomes[got] += 1
+    assert outcomes[True] >= 300 and outcomes[False] >= 600
 
 
 def test_to_two_singular_shapes():
