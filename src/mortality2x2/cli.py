@@ -80,6 +80,10 @@ def load_instance(path: str) -> Instance:
         raise CliError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path} is not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise CliError(f"{path} is nested too deeply to parse") from exc
     if not isinstance(doc, dict) or "matrices" not in doc:
         raise CliError(f"{path}: expected an object with a \"matrices\" key")
     raw_matrices = doc["matrices"]

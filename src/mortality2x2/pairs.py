@@ -6,8 +6,9 @@ s_k = v_l^T V^k u_r vanishes, and s obeys the order-2 recurrence
 s_{k+2} = -b s_{k+1} - c s_k driven by the characteristic polynomial
 x^2 + b x + c of V.
 
-When some power of V is a scalar matrix, zeros of s repeat and one period
-is scanned.  Otherwise V^k ~ V + r_k I, where r_1 = 0 and
+When V^m is a scalar matrix for some m <= 6, zeros of s repeat with period
+m, and one period s_1 .. s_{m-1} is scanned by the recurrence on ints.
+Otherwise V^k ~ V + r_k I, where r_1 = 0 and
 r_k = c/(b - r_{k-1}) is a Moebius iteration, and s_k = 0 is equivalent to
 r_k = x with x = -s_1/s_0.  For d = b^2 - 4c != 0 both readings are one
 power equation rho^k = tau over Q(sqrt(d)): rho = l1/l2 is the eigenvalue
@@ -31,13 +32,14 @@ and `endpoint`.  `analyze_inner` does what depends on V alone -- the
 invertibility check, V's canonical form and, on that form, its `int` b
 and c with the seed (`CharPoly`) and the period test `period_order` --
 and `endpoint` reads a singular member's rank test, primitive column u,
-primitive row w and V u off its form.  Per pair only the integer dot products
-s0 = w_l . u_r, s1 = w_l . (V u_r), the scalar solve and the witness check
-remain, so `decider.decide` builds the rest once and passes it in; a bare
-`decide_pair` takes the three forms itself and then runs the same path.
-It alone runs the exact witness check, whichever branch named the
-exponent: the members' integer forms times the integer power of the
-canonical V (`is_witness`), with no `Fraction` in the product.
+primitive row w and V u off its form.  Per pair there remain only
+`pair_problem`'s two ints s0 = w_l . u_r and s1 = w_l . (V u_r) (with b and
+c they fix s), the scan or the scalar solve, and the witness check, so
+`decider.decide` builds the rest once and passes it in; a bare `decide_pair`
+takes the three forms itself and then runs the same path.  It alone runs the exact witness check,
+whichever branch named the exponent: the members' integer forms times the
+integer power of the canonical V (`is_witness`), with no `Fraction` in the
+product.
 
 Every returned witness exponent is confirmed by an exact product check;
 every refusal is certified by exact arithmetic.  No floating point is used.
@@ -52,7 +54,7 @@ from math import gcd, lcm
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .linalg import (
-    ZERO, CharPoly, IntMat, IntVec, InternalError, Mat2, Rat, RatLike, RankError,
+    ZERO, CharPoly, IntMat, IntVec, InternalError, Mat2, Rat, RankError,
     canon_int_mat, int_mat_mul, int_mat_pow, to_int_mat,
 )
 from .spectral import _cheb_index, period_order
@@ -82,27 +84,6 @@ class NoExponent:
 
 
 PairVerdict = Union[Witness, NoExponent]
-
-
-@dataclass(frozen=True)
-class ScalarRecurrence:
-    """s_{k+2} = -b s_{k+1} - c s_k with initial terms s0, s1, all `int`s
-    when `pair_problem` builds it."""
-
-    b: RatLike
-    c: RatLike
-    s0: RatLike
-    s1: RatLike
-
-    def terms(self) -> Iterator[RatLike]:
-        prev, cur = self.s0, self.s1
-        while True:
-            yield prev
-            prev, cur = cur, -self.b * cur - self.c * prev
-
-    def first_zero(self, lo: int, hi: int) -> Optional[int]:
-        """Smallest k in [lo, hi) with s_k == 0, or None."""
-        return next((k for k, s in zip(range(hi), self.terms()) if k >= lo and s == 0), None)
 
 
 @dataclass(frozen=True)
@@ -185,12 +166,13 @@ class Prepared(NamedTuple):
     right: Endpoint
 
 
-def pair_problem(prepared: Prepared) -> ScalarRecurrence:
-    """The integer scalar track s_k = w_l . V^k u_r of one pair, from its hoisted data."""
-    inner, left, right = prepared
-    cp = inner.char
+def pair_problem(prepared: Prepared) -> tuple[int, int]:
+    """The first two terms s0 = w_l . u_r and s1 = w_l . (V u_r) of one pair's
+    integer scalar track s_k = w_l . V^k u_r, from its hoisted data; with
+    `inner.char`'s b and c they fix every later term."""
+    _, left, right = prepared
     (w0, w1), (u0, u1), (vu0, vu1) = left.w, right.u, right.vu
-    return ScalarRecurrence(cp.b, cp.c, w0 * u0 + w1 * u1, w0 * vu0 + w1 * vu1)
+    return w0 * u0 + w1 * u1, w0 * vu0 + w1 * vu1
 
 
 def r_next(b: Rat, c: Rat, r_prev: Rat) -> Optional[Rat]:
@@ -323,25 +305,31 @@ def decide_pair(
     k = 0 (the bare product N_left * N_right) is an admissible witness.
     `prepared` must hold `analyze_inner` and `endpoint` of the integer
     forms `int_form` of v, n_left and n_right; without it they are built
-    here, which validates the inputs.  Every witness exponent passes the
-    exact product check of `is_witness`, on the endpoints' integer forms.
-    Off the periodic scan a refusal names the solve:
-    `SINGLE_CANDIDATE_FAILED` at d = 0, else `RATIO_EQUATION_UNSATISFIABLE`.
+    here, which validates the inputs.  From `pair_problem`'s s0 and s1: k = 0
+    when s0 == 0; for V of period m, the first zero of s_1 .. s_{m-1} or
+    `PERIODIC_SCAN_EXHAUSTED`; otherwise `solve_r_eq_x` on x = -s1/s0, whose
+    refusal is `SINGLE_CANDIDATE_FAILED` at d = 0, else
+    `RATIO_EQUATION_UNSATISFIABLE`.  Every witness exponent passes the exact
+    product check of `is_witness`, on the endpoints' integer forms.
     """
     if prepared is None:
         inner = analyze_inner(int_form(v))
         prepared = Prepared(inner, *(endpoint(int_form(n), inner.v) for n in (n_left, n_right)))
-    track = pair_problem(prepared)
+    s0, s1 = pair_problem(prepared)
     inner = prepared.inner
-    if track.s0 == 0:
+    if s0 == 0:
         k = 0
     elif inner.order is not None:
-        # V^m = scalar * I makes zeros of s repeat with period m: scan one period.
-        k = track.first_zero(1, inner.order)
-        if k is None:
+        # V^m = scalar * I makes zeros of s repeat with period m: scan s_1 .. s_{m-1}.
+        b, c, prev, cur = inner.char.b, inner.char.c, s0, s1
+        for k in range(1, inner.order):
+            if cur == 0:
+                break
+            prev, cur = cur, -b * cur - c * prev
+        else:
             return NoExponent(RefusalReason.PERIODIC_SCAN_EXHAUSTED)
     else:
-        k = solve_r_eq_x(inner.char, Fraction(-track.s1, track.s0))
+        k = solve_r_eq_x(inner.char, Fraction(-s1, s0))
         if k is None:
             if inner.char.discriminant == 0:
                 return NoExponent(RefusalReason.SINGLE_CANDIDATE_FAILED)

@@ -330,6 +330,21 @@ def test_malformed_inputs_exit_64(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "matrices[0][0][0]" in err
 
+    # bytes that are not UTF-8 text, and nesting past the parser's recursion
+    # limit: a diagnostic naming the file, never a traceback with exit 1
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe{")
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_text(json.dumps(PLANTED), encoding="utf-16")
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"matrices": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    for path in (not_utf8, utf16, deep):
+        for argv in (["decide", str(path)], ["verify", str(path), "0"], ["oracle", str(path)]):
+            assert main(argv) == 64
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert str(path) in err and "Traceback" not in err
+
 
 def test_usage_errors_exit_64(capsys):
     assert main(["decode"]) == 64

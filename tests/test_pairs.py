@@ -17,7 +17,6 @@ from mortality2x2.pairs import (
     NoExponent,
     Prepared,
     RefusalReason,
-    ScalarRecurrence,
     Witness,
     analyze_inner,
     decide_pair,
@@ -37,6 +36,7 @@ from helpers import (
     plant_pair,
     r_value,
     rand_invertible_int,
+    rand_mat,
     rand_nonperiodic_invertible,
     rand_rank_one,
     rand_rat,
@@ -51,6 +51,14 @@ def mat(rows):
 def _prepared(n_left, v, n_right):
     inner = analyze_inner(int_form(v))
     return Prepared(inner, endpoint(int_form(n_left), inner.v), endpoint(int_form(n_right), inner.v))
+
+
+def _track(b, c, s0, s1, count):
+    """s_0 .. s_{count-1} of s_{k+2} = -b s_{k+1} - c s_k, independent of the engine's scan."""
+    terms = [s0, s1]
+    while len(terms) < count:
+        terms.append(-b * terms[-1] - c * terms[-2])
+    return terms[:count]
 
 
 # --------------------------------------------------------------------- r_next
@@ -233,8 +241,7 @@ def test_solve_ratio_power_matches_scanning():
             continue
         checked += 1
         answer = solve_ratio_power(cp, s0, s1)
-        track = ScalarRecurrence(b, c, s0, s1)
-        zeros = [k for k, s in zip(range(65), track.terms()) if s == 0 and k >= 1]
+        zeros = [k for k, s in enumerate(_track(b, c, s0, s1, 65)) if s == 0 and k >= 1]
         if answer is None:
             assert zeros == []
         else:
@@ -256,10 +263,10 @@ def test_solve_ratio_power_validation():
 def test_decide_pair_worked_example():
     n = mat([[7, -8], [0, 0]])
     v = mat([[2, 0], [1, 1]])
-    track = pair_problem(_prepared(n, v, n))
-    assert track.s0 == 7
-    assert track.s1 == 6
-    assert Fraction(-track.s1, track.s0) == Fraction(-6, 7)
+    s0, s1 = pair_problem(_prepared(n, v, n))
+    assert (s0, s1) == (7, 6)
+    assert (type(s0), type(s1)) == (int, int)
+    assert Fraction(-s1, s0) == Fraction(-6, 7)
     assert decide_pair(n, v, n) == Witness(3)
 
 
@@ -338,9 +345,10 @@ def test_scalar_track_matches_matrix_products():
         nl = rand_rank_one(rng, 3, 3)
         nr = rand_rank_one(rng, 3, 3)
         v = rand_invertible_int(rng, -3, 3)
-        track = pair_problem(_prepared(nl, v, nr))
+        prepared = _prepared(nl, v, nr)
+        cp = prepared.inner.char
         zeros = scan_pair_zeros(nl, v, nr, 30)
-        for k, s in zip(range(31), track.terms()):
+        for k, s in enumerate(_track(cp.b, cp.c, *pair_problem(prepared), 31)):
             assert (s == 0) == (k in zeros)
 
 
@@ -403,8 +411,8 @@ def test_decide_pair_refuses_fixed_point_target():
     v = mat([[2, 0], [1, 1]])  # eigenvectors (1, 1) and (0, 1)
     for u in (Vec2(1, 1), Vec2(0, 1)):
         n = outer(u, Vec2(1, 2))
-        track = pair_problem(_prepared(n, v, n))
-        assert Fraction(-track.s1, track.s0) in (Fraction(-1), Fraction(-2))
+        s0, s1 = pair_problem(_prepared(n, v, n))
+        assert Fraction(-s1, s0) in (Fraction(-1), Fraction(-2))
         assert decide_pair(n, v, n) == NoExponent(RefusalReason.RATIO_EQUATION_UNSATISFIABLE)
         assert scan_pair_zeros(n, v, n, 64) == set()
 
@@ -492,6 +500,36 @@ def test_inner_analysis_matches_the_rational_char_poly_and_period():
     assert [analyze_inner(int_form(Mat2(*base))).order for base, _ in PERIOD_BASES] == [
         order for _, order in PERIOD_BASES
     ]
+
+
+def test_periodic_scan_names_the_first_zero_or_refuses():
+    # V of each period m in PERIOD_BASES, conjugated by random rational
+    # matrices and scaled by 1/3 and -1: the bare and the prepared
+    # decide_pair give the first zero of an exact scan of two periods, or
+    # refuse when there is none; half the pairs are planted to vanish at a
+    # k in 0 .. m-1, so every k the scan can name is reached
+    rng = random.Random(1213)
+    seen = set()
+    for trial in range(900):
+        base, order = PERIOD_BASES[trial % len(PERIOD_BASES)]
+        p = rand_mat(rng, 4, 3)
+        if p.det() == 0:
+            continue
+        v = p * Mat2(*base) * Mat2(p.e11, -p.e01, -p.e10, p.e00)
+        u = Vec2(rand_rat(rng, 4, 3), rand_rat(rng, 4, 3) or 1)
+        row = Vec2(rand_rat(rng, 4, 3), rand_rat(rng, 4, 3) or 1)
+        nr = outer(u, Vec2(rand_rat(rng, 4, 3) or 1, rand_rat(rng, 4, 3)))
+        if rng.random() < 0.5:
+            row = mat_pow(v, rng.randrange(order)).mul_vec(u).perp()
+        nl = outer(Vec2(rand_rat(rng, 4, 3) or 1, rand_rat(rng, 4, 3)), row)
+        zeros = scan_pair_zeros(nl, v, nr, 12)
+        expected = Witness(min(zeros)) if zeros else NoExponent(RefusalReason.PERIODIC_SCAN_EXHAUSTED)
+        for w in (v, v.scale(Fraction(1, 3)), v.scale(-1)):
+            assert decide_pair(nl, w, nr) == expected
+            assert decide_pair(nl, w, nr, _prepared(nl, w, nr)) == expected
+        seen.add((order, getattr(expected, "k", None)))
+    for _, order in PERIOD_BASES:
+        assert {(order, k) for k in [None, *range(order)]} <= seen
 
 
 def test_witness_check_survives_a_wrong_power(monkeypatch):
