@@ -4,9 +4,12 @@ Instance files are JSON documents of the form
 
     {"matrices": [[[1, 0], [0, 0]], [["1/2", -1], [0, "2/3"]]]}
 
-where each entry is an integer or an exact "p/q" string; floating point is
-rejected.  Reports are printed as JSON with --json and are byte-stable for
-identical inputs apart from the timings block.
+where each entry is a JSON integer or an exact "p/q" string, one that fully
+matches [+-]?[0-9]+(/[0-9]+)? with ASCII digits; any other string (an
+exponent, a decimal point, an underscore, a space, a non-ASCII digit) and
+floating point are rejected with exit 64.  Reports are printed as JSON with
+--json and are byte-stable for identical inputs apart from the timings
+block.
 
 Exit codes: 0 mortal / verified / clean fuzz run, 1 immortal / nonzero
 product / contradictions found, 2 unknown verdict, 64 malformed input,
@@ -18,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -57,12 +61,19 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+_ENTRY_STRING = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _parse_entry(raw: object, where: str) -> Fraction:
     if isinstance(raw, bool):
         raise CliError(f"{where}: boolean is not a rational entry")
     if isinstance(raw, int):
         return Fraction(raw)
     if isinstance(raw, str):
+        # Checked first: Fraction() also reads exponents ("1e9999999", a huge
+        # integer), decimals, underscores, spaces and non-ASCII digits.
+        if not _ENTRY_STRING.fullmatch(raw):
+            raise CliError(f"{where}: {raw!r} is not an integer or \"p/q\" string")
         try:
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
@@ -178,11 +189,10 @@ def cmd_decide(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     instance = load_instance(args.file)
-    word = tuple(args.index)
-    for index in word:
-        if not 0 <= index < len(instance.matrices):
-            raise CliError(f"witness index {index} out of range 0..{len(instance.matrices) - 1}")
-    ok = verify_witness(instance, word)
+    try:
+        ok = verify_witness(instance, tuple(args.index))
+    except IndexError as exc:
+        raise CliError(f"witness {exc}") from exc
     print("zero product" if ok else "nonzero product")
     return EXIT_OK if ok else EXIT_FAIL
 

@@ -35,8 +35,8 @@ from functools import reduce
 from itertools import combinations
 from typing import Iterable, Optional, Union
 
-from .linalg import ZERO, Mat2, RankError, factor_rank_one, int_mat_mul, outer, rank, to_int_mat
-from .pairs import Prepared, Witness, analyze_inner, decide_pair, endpoint, int_form
+from .linalg import ZERO, Mat2, Vec2, int_mat_mul, outer, to_int_mat
+from .pairs import Prepared, Witness, analyze_inner, decide_pair, endpoint, int_form, rank_one_factors
 
 Word = tuple[int, ...]
 
@@ -166,7 +166,7 @@ def verify_witness(instance: Instance, word: Word) -> bool:
     n = len(instance.matrices)
     if min(word) < 0 or max(word) >= n:
         index = next(i for i in word if not 0 <= i < n)
-        raise IndexError(f"word index {index} out of range")
+        raise IndexError(f"word index {index} out of range 0..{n - 1}")
     forms = {i: to_int_mat(instance.matrices[i]) for i in set(word)}
     return reduce(int_mat_mul, map(forms.__getitem__, word)) == ZERO
 
@@ -216,10 +216,11 @@ def cross_split(b1: Mat2, b2: Mat2) -> tuple[Mat2, Mat2]:
 
     A product b1 V_1 ... V_n b2 vanishes exactly when the scalar chain
     b^T V_1 ... V_n c does, which is also what (c b^T) V_1 ... V_n (c b^T)
-    tests; symmetrically, a d^T tests the reversed-endpoint products.
+    tests; symmetrically, a d^T tests the reversed-endpoint products.  The
+    factors are the primitive integer ones of `pairs.rank_one_factors`, so
+    each output is fixed up to that normal form, a nonzero multiple of the
+    one any other factorization gives; `RankError` unless both are rank 1.
     """
-    if rank(b1) != 1 or rank(b2) != 1:
-        raise RankError("cross_split requires two rank-1 matrices")
-    a, b = factor_rank_one(b1)
-    c, d = factor_rank_one(b2)
-    return outer(c, b), outer(a, d)
+    a, b = rank_one_factors(int_form(b1))
+    c, d = rank_one_factors(int_form(b2))
+    return outer(Vec2(*c), Vec2(*b)), outer(Vec2(*a), Vec2(*d))

@@ -5,7 +5,8 @@ rationals (`fractions.Fraction`), a matrix's integer form (`to_int_mat`), the
 integer product, power and zero (`int_mat_mul`, `int_mat_pow`, `ZERO`) and
 the primitive form of any integer tuple (`canon_int_mat`), on which the
 oracle keys its states and the decider and pair engine run their zero tests
-and per-pair arithmetic.
+and per-pair arithmetic.  The one rank-1 factorization runs on integer
+forms too, as `pairs.rank_one_factors`; only its `RankError` lives here.
 Every value is immutable and every operation is a pure function.  No
 floating point is used anywhere.
 """
@@ -171,13 +172,6 @@ class CharPoly:
         object.__setattr__(self, "seed", Fraction(b * b - 2 * c, c) if c else None)
 
 
-def rank(m: Mat2) -> int:
-    """0 for the zero matrix, 2 for invertible, 1 otherwise."""
-    if m.is_zero():
-        return 0
-    return 2 if m.det() != 0 else 1
-
-
 def is_scalar_multiple(m: Mat2, n: Mat2) -> Optional[Rat]:
     """Nonzero s with m == s * n, or None.
 
@@ -194,26 +188,6 @@ def is_scalar_multiple(m: Mat2, n: Mat2) -> Optional[Rat]:
     if all(me == s * ne for me, ne in zip(m.entries(), n.entries())):
         return s
     return None
-
-
-def factor_rank_one(m: Mat2) -> tuple[Vec2, Vec2]:
-    """Write a rank-1 matrix as u v^T.
-
-    Normal form: the first nonzero coordinate of u equals 1, which makes the
-    factorization deterministic (it is otherwise unique only up to reciprocal
-    scaling of the two factors).
-    """
-    r = rank(m)
-    if r != 1:
-        raise RankError(f"factor_rank_one requires rank 1, got rank {r}")
-    if m.e00 != 0 or m.e01 != 0:
-        v = Vec2(m.e00, m.e01)
-        t = m.e10 / m.e00 if m.e00 != 0 else m.e11 / m.e01
-        u = Vec2(1, t)
-    else:
-        u = Vec2(0, 1)
-        v = Vec2(m.e10, m.e11)
-    return u, v
 
 
 def char_poly(m: Mat2) -> CharPoly:

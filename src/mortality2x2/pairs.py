@@ -31,8 +31,9 @@ integer form and determinant `int_form`, the one input of `analyze_inner`
 and `endpoint`.  `analyze_inner` does what depends on V alone -- the
 invertibility check, V's canonical form and, on that form, its `int` b
 and c with the seed (`CharPoly`) and the period test `period_order` --
-and `endpoint` reads a singular member's rank test, primitive column u,
-primitive row w and V u off its form.  Per pair there remain only
+and `endpoint` takes a singular member's rank test, primitive column u
+and primitive row w from `rank_one_factors`, the package's one rank-1
+factorization, and adds V u.  Per pair there remain only
 `pair_problem`'s two ints s0 = w_l . u_r and s1 = w_l . (V u_r) (with b and
 c they fix s), the scan or the scalar solve, and the witness check, so
 `decider.decide` builds the rest once and passes it in; a bare `decide_pair`
@@ -144,18 +145,28 @@ class Endpoint:
     form: IntMat
 
 
-def endpoint(form: IntForm, v: IntMat) -> Endpoint:
-    """Check that N has rank 1 and factor it once for every pair it ends.
+def rank_one_factors(form: IntForm) -> tuple[IntVec, IntVec]:
+    """Primitive integer u and w with N a nonzero multiple of u w^T, from N's
+    integer form `form = int_form(n)`; `RankError` unless N has rank 1.
 
-    On N's integer form `form = int_form(n)`: its first nonzero column and
-    row, made primitive, are u and w.  `v` is `InnerAnalysis.v`.
+    u is N's first nonzero column and w its first nonzero row, each made
+    primitive by `canon_int_mat`, so first nonzero entry positive.
     """
     a, det = form
     if a == ZERO or det != 0:
         raise RankError("endpoint requires a rank-1 matrix")
-    u0, u1 = canon_int_mat((a[0], a[2]) if a[0] or a[2] else (a[1], a[3]))
-    w = canon_int_mat(a[:2] if a[0] or a[1] else a[2:])
-    return Endpoint((u0, u1), w, (v[0] * u0 + v[1] * u1, v[2] * u0 + v[3] * u1), a)
+    u = canon_int_mat((a[0], a[2]) if a[0] or a[2] else (a[1], a[3]))
+    return u, canon_int_mat(a[:2] if a[0] or a[1] else a[2:])
+
+
+def endpoint(form: IntForm, v: IntMat) -> Endpoint:
+    """Check that N has rank 1 and factor it once for every pair it ends.
+
+    u and w are `rank_one_factors(form)`, on N's integer form
+    `form = int_form(n)`; `v` is `InnerAnalysis.v`.
+    """
+    (u0, u1), w = rank_one_factors(form)
+    return Endpoint((u0, u1), w, (v[0] * u0 + v[1] * u1, v[2] * u0 + v[3] * u1), form[0])
 
 
 class Prepared(NamedTuple):

@@ -246,8 +246,12 @@ def test_verify_round_trip(tmp_path, capsys):
     path = write(tmp_path, PLANTED)
     assert main(["verify", path, "0", "1", "1", "1", "0"]) == 0
     assert main(["verify", path, "0", "1", "0"]) == 1
-    assert main(["verify", path, "0", "7"]) == 64
     capsys.readouterr()
+    for index in ("-1", "7"):
+        assert main(["verify", path, "0", index, "0"]) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"index {index} out of range 0..1" in err and "Traceback" not in err
 
 
 def test_mortal_reports_reverify(tmp_path, capsys):
@@ -344,6 +348,36 @@ def test_malformed_inputs_exit_64(tmp_path, capsys):
             out, err = capsys.readouterr()
             assert out == ""
             assert str(path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", ["1e1000000", "0.5", "1_000", " 1/2", "\u0663"])
+def test_entry_strings_outside_the_grammar_exit_64(tmp_path, capsys, entry):
+    # Fraction() reads every one of these, "1e1000000" as a million-digit
+    # integer; an entry string must fully match [+-]?[0-9]+(/[0-9]+)?
+    path = write(tmp_path, {"matrices": [[[entry, 1], [0, 0]], [[2, 1], [1, 1]]]})
+    for argv in (["decide", path], ["verify", path, "0"], ["oracle", path]):
+        assert main(argv) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "matrices[0][0][0]" in err and "Traceback" not in err
+
+
+def test_entry_grammar_keeps_signs_leading_zeros_and_json_integers(tmp_path, capsys):
+    # "-1/2", "+3" and "007" read as -1/2, 3 and 7, as they did before the
+    # grammar was enforced; the instance is mortal at k = 1
+    written = {"matrices": [[["-1/2", "+3"], ["007", -42]], [[6, 0], [15, 1]]]}
+    plain = {"matrices": [[["-1/2", 3], [7, -42]], [[6, 0], [15, 1]]]}
+    reports = []
+    for doc, name in ((written, "written.json"), (plain, "plain.json")):
+        path = write(tmp_path, doc, name)
+        assert main(["decide", path, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        del report["timings"]
+        reports.append(report)
+        assert main(["verify", path, *map(str, report["witness"])]) == 0
+        assert main(["oracle", path]) == 0
+        capsys.readouterr()
+    assert reports[0] == reports[1] and reports[0]["witness"] == [0, 1, 0]
 
 
 def test_usage_errors_exit_64(capsys):

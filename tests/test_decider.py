@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from mortality2x2 import Immortal, Instance, Mat2, Mortal, Unknown, decide, verify_witness
-from mortality2x2.linalg import Vec2, factor_rank_one, mat_pow, outer, rank
-from mortality2x2.pairs import Prepared, Witness, analyze_inner, decide_pair, endpoint, int_form
+from mortality2x2 import Immortal, Instance, Mat2, Mortal, RankError, Unknown, decide, verify_witness
+from mortality2x2.linalg import Vec2, is_scalar_multiple, mat_pow, outer
+from mortality2x2.pairs import Prepared, Witness, analyze_inner, decide_pair, endpoint, int_form, rank_one_factors
 from mortality2x2.decider import (
     IMMORTAL_ALL_INVERTIBLE,
     IMMORTAL_NO_ZERO_PAIR,
@@ -218,27 +218,41 @@ def test_cross_split_examples():
     v = Vec2(2, 4)
     m = outer(u, v)
     left, right = cross_split(m, m)
-    assert rank(left) == 1 and rank(right) == 1
+    for out in (left, right):
+        assert not out.is_zero() and out.det() == 0
     assert left == m and right == m
 
     b = mat([[7, -8], [0, 0]])
     left, right = cross_split(b, b)
     assert left == b and right == b
 
-    with pytest.raises(Exception):
-        cross_split(Mat2.identity(), b1)
+    for bad in ((Mat2.identity(), b1), (b1, Mat2.zero())):
+        with pytest.raises(RankError):
+            cross_split(*bad)
+
+
+def _first_nonzero_column_and_row(n):
+    column = Vec2(n.e00, n.e10) if n.e00 or n.e10 else Vec2(n.e01, n.e11)
+    return column, Vec2(n.e00, n.e01) if n.e00 or n.e01 else Vec2(n.e10, n.e11)
 
 
 def test_cross_split_reconstructs_endpoint_factors():
+    # the outputs are built from the members' primitive integer factors,
+    # crossed, and are multiples of the crossed rational column and row
     rng = random.Random(62)
     for _ in range(200):
         b1 = rand_rank_one(rng, 3, 3)
         b2 = rand_rank_one(rng, 3, 3)
-        a, brow = factor_rank_one(b1)
-        c, drow = factor_rank_one(b2)
+        a, brow = rank_one_factors(int_form(b1))
+        c, drow = rank_one_factors(int_form(b2))
         left, right = cross_split(b1, b2)
-        assert left == outer(c, brow)
-        assert right == outer(a, drow)
+        assert left == outer(Vec2(*c), Vec2(*brow))
+        assert right == outer(Vec2(*a), Vec2(*drow))
+        assert rank_one_factors(int_form(left)) == (c, brow)
+        assert rank_one_factors(int_form(right)) == (a, drow)
+        (col1, row1), (col2, row2) = map(_first_nonzero_column_and_row, (b1, b2))
+        assert is_scalar_multiple(left, outer(col2, row1)) is not None
+        assert is_scalar_multiple(right, outer(col1, row2)) is not None
 
 
 def test_scaling_members_never_changes_the_verdict():

@@ -1,7 +1,8 @@
-"""Exact arithmetic layer: ranks, factorizations, powers, canonical forms."""
+"""Exact arithmetic layer: the rank-1 factorization, powers, canonical forms."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -13,15 +14,14 @@ from mortality2x2.linalg import (
     Vec2,
     canon_int_mat,
     char_poly,
-    factor_rank_one,
     int_mat_mul,
     int_mat_pow,
     is_scalar_multiple,
     mat_pow,
     outer,
-    rank,
     to_int_mat,
 )
+from mortality2x2.pairs import int_form, rank_one_factors
 from helpers import rand_mat
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
@@ -30,25 +30,6 @@ nonzero_rationals = rationals.filter(lambda x: x != 0)
 
 def mat(rows):
     return Mat2.from_rows(rows)
-
-
-def test_rank_examples():
-    assert rank(Mat2.zero()) == 0
-    assert rank(Mat2.identity()) == 2
-    assert rank(mat([[7, -8], [0, 0]])) == 1
-
-
-def test_rank_matches_determinant():
-    rng = random.Random(7)
-    for _ in range(300):
-        m = rand_mat(rng, 5, 4)
-        r = rank(m)
-        if m.is_zero():
-            assert r == 0
-        elif m.det() != 0:
-            assert r == 2
-        else:
-            assert r == 1
 
 
 def test_is_scalar_multiple_examples():
@@ -76,14 +57,17 @@ def test_is_scalar_multiple_symmetry(entries, s):
 
 
 def test_factor_rank_one_examples():
-    u, v = factor_rank_one(mat([[7, -8], [0, 0]]))
-    assert (u, v) == (Vec2(1, 0), Vec2(7, -8))
-    u, v = factor_rank_one(mat([[2, 4], [1, 2]]))
-    assert (u, v) == (Vec2(1, Fraction(1, 2)), Vec2(2, 4))
+    # the one rank-1 factorization, on a member's integer form
+    assert rank_one_factors(int_form(mat([[7, -8], [0, 0]]))) == ((1, 0), (7, -8))
+    assert rank_one_factors(int_form(mat([[2, 4], [1, 2]]))) == ((2, 1), (1, 2))
     with pytest.raises(RankError):
-        factor_rank_one(Mat2.zero())
+        rank_one_factors(int_form(Mat2.zero()))
     with pytest.raises(RankError):
-        factor_rank_one(Mat2.identity())
+        rank_one_factors(int_form(Mat2.identity()))
+
+
+def _primitive_with_positive_lead(x):
+    return gcd(*x) == 1 and next(e for e in x if e != 0) > 0
 
 
 @given(
@@ -94,10 +78,9 @@ def test_factor_rank_one_roundtrip(ut, vt):
     m = outer(Vec2(*ut), Vec2(*vt))
     if m.is_zero():
         return
-    u, v = factor_rank_one(m)
-    assert outer(u, v) == m
-    first_nonzero = u.x0 if u.x0 != 0 else u.x1
-    assert first_nonzero == 1
+    u, w = rank_one_factors(int_form(m))
+    assert is_scalar_multiple(m, outer(Vec2(*u), Vec2(*w))) is not None
+    assert _primitive_with_positive_lead(u) and _primitive_with_positive_lead(w)
 
 
 def test_char_poly_examples():

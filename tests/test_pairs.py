@@ -10,7 +10,7 @@ import pytest
 
 from mortality2x2 import InternalError, Mat2, RankError
 from mortality2x2.linalg import (
-    CharPoly, Vec2, canon_int_mat, char_poly, factor_rank_one, is_scalar_multiple, mat_pow, outer,
+    CharPoly, Vec2, canon_int_mat, char_poly, is_scalar_multiple, mat_pow, outer,
     to_int_mat,
 )
 from mortality2x2.pairs import (
@@ -427,13 +427,17 @@ def test_decide_pair_zero_discriminant_refusal():
     assert scan_pair_zeros(n, v, n, 64) == set()
 
 
-def _old_endpoint_factors(n):
-    """u and w by the rational route: `factor_rank_one`, u cleared of its
-    denominators (it leads with 1, so that is primitive), w made canonical."""
-    u, w = factor_rank_one(n)
-    t = lcm(u.x0.denominator, u.x1.denominator)
-    s = lcm(w.x0.denominator, w.x1.denominator)
-    return (int(t * u.x0), int(t * u.x1)), canon_int_mat((int(s * w.x0), int(s * w.x1)))
+def _rational_endpoint_factors(n):
+    """u and w by the rational route: u = (1, t) for the ratio t of N's rows,
+    or (0, 1) when its first row is zero, cleared of its denominator; w the
+    first nonzero row, cleared of its denominators and made canonical."""
+    if n.e00 or n.e01:
+        t = n.e10 / n.e00 if n.e00 else n.e11 / n.e01
+        u, w = (t.denominator, t.numerator), (n.e00, n.e01)
+    else:
+        u, w = (0, 1), (n.e10, n.e11)
+    s = lcm(w[0].denominator, w[1].denominator)
+    return u, canon_int_mat((int(s * w[0]), int(s * w[1])))
 
 
 def test_endpoint_matches_the_rational_factorization():
@@ -451,7 +455,7 @@ def test_endpoint_matches_the_rational_factorization():
         shapes["zero first row"] += n.e00 == n.e01 == 0
         shapes["zero first column"] += n.e00 == n.e10 == 0
         shapes["negative lead"] += next(e for e in n.entries() if e != 0) < 0
-        u, w = _old_endpoint_factors(n)
+        u, w = _rational_endpoint_factors(n)
         end = endpoint(int_form(n), inner.v)
         assert (end.u, end.w, end.vu) == (u, w, (a * u[0] + b * u[1], c * u[0] + d * u[1]))
         assert end.form == to_int_mat(n)
