@@ -62,6 +62,15 @@ def _at_least_one(text: str) -> int:
 
 
 _ENTRY_STRING = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_ECHO_CHARS = 40
+
+
+def _echo(raw: str) -> str:
+    """raw quoted for an error message; past _ECHO_CHARS characters, only its
+    start and its length, so a huge entry gives a short message."""
+    if len(raw) <= _ECHO_CHARS:
+        return repr(raw)
+    return f"{raw[:_ECHO_CHARS]!r}... ({len(raw)} characters)"
 
 
 def _parse_entry(raw: object, where: str) -> Fraction:
@@ -73,11 +82,11 @@ def _parse_entry(raw: object, where: str) -> Fraction:
         # Checked first: Fraction() also reads exponents ("1e9999999", a huge
         # integer), decimals, underscores, spaces and non-ASCII digits.
         if not _ENTRY_STRING.fullmatch(raw):
-            raise CliError(f"{where}: {raw!r} is not an integer or \"p/q\" string")
+            raise CliError(f"{where}: {_echo(raw)} is not an integer or \"p/q\" string")
         try:
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
-            raise CliError(f"{where}: cannot parse rational string {raw!r} ({exc})") from exc
+            raise CliError(f"{where}: cannot parse rational string {_echo(raw)} ({exc})") from exc
     if isinstance(raw, float):
         raise CliError(f"{where}: floating point entries are not accepted; write an exact \"p/q\" string")
     raise CliError(f"{where}: unsupported entry of type {type(raw).__name__}")

@@ -254,6 +254,10 @@ def canon_int_mat(a: tuple[int, ...]) -> tuple[int, ...]:
             if value < 0:
                 g = -g
             break
-    if len(a) == 4:  # unrolled: the oracle's search normalises every product it builds
+    # unrolled: the oracle's search normalises every product it builds, an
+    # invertible one as a matrix and a rank-1 one by its vector factors
+    if len(a) == 4:
         return (a[0] // g, a[1] // g, a[2] // g, a[3] // g)
+    if len(a) == 2:
+        return (a[0] // g, a[1] // g)
     return tuple([value // g for value in a])

@@ -1,11 +1,15 @@
 """Independent brute-force oracle: bounded product search and fuzz harness.
 
 `search` enumerates products breadth-first and reports a shortest zero
-product.  States are deduplicated by their projective canonical form (a
-primitive integer matrix with positive leading entry): whether a product
-can ever reach zero depends only on that class, and scaling every factor
-to its class representative keeps integer sizes bounded while preserving
-zero-detection exactly.
+product.  States are deduplicated by their projective canonical form: whether
+a product can ever reach zero depends only on that class, and scaling every
+factor to its class representative keeps integer sizes bounded while
+preserving zero-detection exactly.  Following the paper, a singular member
+is N = u w^T, so a product with a singular factor has rank at most 1: such a
+state is kept as its primitive factors (u, w), every other state as its
+primitive matrix.  A step is then a matrix product only between invertible
+factors, and the one zero test is the dot product w . u_N of a rank-1 state
+with a singular member.
 
 `fuzz_compare` cross-validates `decide` against `search` on seeded random
 instances and reports any disagreement.  It is the measuring stick for the
@@ -19,10 +23,15 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 from .decider import Immortal, Instance, Mortal, Unknown, Word, decide, verify_witness
-from .linalg import ZERO, IntMat, InternalError, Mat2, Vec2, canon_int_mat, int_mat_mul, outer, to_int_mat
+from .linalg import ZERO, IntMat, IntVec, InternalError, Mat2, Vec2, canon_int_mat, int_mat_mul, outer
+from .pairs import int_form, rank_one_factors
+
+# A product's projective class: an invertible one as its primitive matrix, a
+# rank-1 one as the primitive factors (u, w) of u w^T.
+State = Union[IntMat, tuple[IntVec, IntVec]]
 
 
 def search(instance: Instance, max_len: int) -> Optional[Word]:
@@ -31,28 +40,55 @@ def search(instance: Instance, max_len: int) -> Optional[Word]:
     Deterministic: ties between equal-length words break lexicographically.
     Scaling each factor to its projective representative is sound because a
     product is zero exactly when the product of class representatives is.
+
+    A state is one of two kinds.  An invertible product is its primitive
+    matrix `canon_int_mat(a)`.  A product with a singular factor has rank 1
+    (or is zero) and is kept as its primitive factors (u, w) from
+    `pairs.rank_one_factors`, standing for the class of u w^T; since u w^T
+    is then itself primitive with first nonzero entry positive, the pair and
+    the class determine each other, so the search keeps the same classes in
+    the same order as one on full matrices and returns the same word.  Each
+    step is a matrix product only between two invertible factors, otherwise
+    a matrix-vector product or a dot product.  The only product that can be
+    zero is rank 1 times rank 1: u w^T u_N w_N^T = (w . u_N) u w_N^T.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    mats = [to_int_mat(m) for m in instance.matrices]
-    seen: set[IntMat] = set()
-    queue: deque[tuple[IntMat, Word]] = deque()
-    for i, m in enumerate(mats):
-        if m == ZERO:
+    members: list[State] = []
+    for i, m in enumerate(instance.matrices):
+        form = int_form(m)
+        a, det = form
+        if a == ZERO:
             return (i,)
-        c = canon_int_mat(m)
+        members.append(canon_int_mat(a) if det else rank_one_factors(form))
+    seen: set[State] = set()
+    queue: deque[tuple[State, Word]] = deque()
+    for i, c in enumerate(members):
         if c not in seen:
             seen.add(c)
             queue.append((c, (i,)))
+    # Neither X u_N nor w^T M is zero, nor a product of two invertible
+    # factors, because X and M are invertible: those steps skip the zero test.
     while queue:
         state, word = queue.popleft()
         if len(word) >= max_len:
             break  # queue is in nondecreasing length order
-        for j, m in enumerate(mats):
-            product = int_mat_mul(state, m)
-            if product == ZERO:
-                return word + (j,)
-            c = canon_int_mat(product)
+        for j, m in enumerate(members):
+            if len(state) == 4:
+                if len(m) == 4:
+                    c = canon_int_mat(int_mat_mul(state, m))
+                else:
+                    (u0, u1), w = m
+                    c = canon_int_mat((state[0] * u0 + state[1] * u1, state[2] * u0 + state[3] * u1)), w
+            else:
+                u, (w0, w1) = state
+                if len(m) == 4:
+                    c = u, canon_int_mat((w0 * m[0] + w1 * m[2], w0 * m[1] + w1 * m[3]))
+                else:
+                    (u0, u1), w = m
+                    if w0 * u0 + w1 * u1 == 0:
+                        return word + (j,)
+                    c = u, w
             if c not in seen:
                 seen.add(c)
                 queue.append((c, word + (j,)))

@@ -154,7 +154,7 @@ def rank_one_factors(form: IntForm) -> tuple[IntVec, IntVec]:
     """
     a, det = form
     if a == ZERO or det != 0:
-        raise RankError("endpoint requires a rank-1 matrix")
+        raise RankError("expected a rank-1 matrix")
     u = canon_int_mat((a[0], a[2]) if a[0] or a[2] else (a[1], a[3]))
     return u, canon_int_mat(a[:2] if a[0] or a[1] else a[2:])
 

@@ -362,6 +362,29 @@ def test_entry_strings_outside_the_grammar_exit_64(tmp_path, capsys, entry):
         assert "matrices[0][0][0]" in err and "Traceback" not in err
 
 
+# one entry is not an integer or "p/q" string; the other matches the grammar
+# but has a zero denominator, so Fraction() cannot parse it
+@pytest.mark.parametrize(
+    "entry", ["x" * 1_000_000, "1/" + "0" * 1_000_000], ids=["not-in-grammar", "zero-denominator"]
+)
+def test_long_bad_entry_is_echoed_cut_short(tmp_path, capsys, entry):
+    path = write(tmp_path, {"matrices": [[[entry, 1], [0, 0]]]})
+    assert main(["decide", path]) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.encode()) < 200
+    assert "matrices[0][0][0]" in err and f"{len(entry)} characters" in err
+    assert repr(entry[:40]) in err
+
+
+def test_short_bad_entry_is_echoed_in_full(tmp_path, capsys):
+    for entry in ("x" * 40, "1/0"):
+        path = write(tmp_path, {"matrices": [[[entry, 1], [0, 0]]]})
+        assert main(["decide", path]) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and repr(entry) in err and "characters" not in err
+
+
 def test_entry_grammar_keeps_signs_leading_zeros_and_json_integers(tmp_path, capsys):
     # "-1/2", "+3" and "007" read as -1/2, 3 and 7, as they did before the
     # grammar was enforced; the instance is mortal at k = 1

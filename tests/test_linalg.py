@@ -160,6 +160,20 @@ def test_primitive_normalize_examples():
         primitive(Mat2.zero())
 
 
+def test_canon_int_mat_on_vectors_and_any_length():
+    # the unrolled length-2 branch and the generic path agree with length 4
+    assert canon_int_mat((-4, 6)) == (2, -3)
+    assert canon_int_mat((0, -5)) == (0, 1)
+    assert canon_int_mat((0, -6, 9)) == (0, 2, -3)
+    rng = random.Random(5)
+    for _ in range(200):
+        a = (rng.randint(-30, 30), rng.randint(-30, 30))
+        if a != (0, 0):
+            assert canon_int_mat(a) == canon_int_mat(a + (0, 0))[:2]
+    with pytest.raises(ValueError):
+        canon_int_mat((0, 0))
+
+
 @given(
     st.tuples(rationals, rationals, rationals, rationals).filter(lambda t: any(t)),
     nonzero_rationals,

@@ -2,6 +2,7 @@
 
 import random
 from collections import deque
+from fractions import Fraction
 
 import pytest
 
@@ -26,14 +27,20 @@ def mat(rows):
     return Mat2.from_rows(rows)
 
 
-def _search_without_dedup(instance: Instance, max_len: int):
-    """Same breadth-first order as `search`, but no state deduplication."""
+def _full_matrix_search(instance: Instance, max_len: int, dedup: bool = True):
+    """Reference search on full matrices: every state a `canon_int_mat`
+    4-tuple and every step an `int_mat_mul`, in `search`'s breadth-first
+    order; with dedup=False, no state is dropped."""
     mats = [to_int_mat(m) for m in instance.matrices]
+    seen = set()
     queue = deque()
     for i, m in enumerate(mats):
         if m == (0, 0, 0, 0):
             return (i,)
-        queue.append((canon_int_mat(m), (i,)))
+        c = canon_int_mat(m)
+        if not (dedup and c in seen):
+            seen.add(c)
+            queue.append((c, (i,)))
     while queue:
         state, word = queue.popleft()
         if len(word) >= max_len:
@@ -42,8 +49,75 @@ def _search_without_dedup(instance: Instance, max_len: int):
             product = int_mat_mul(state, m)
             if product == (0, 0, 0, 0):
                 return word + (j,)
-            queue.append((canon_int_mat(product), word + (j,)))
+            c = canon_int_mat(product)
+            if not (dedup and c in seen):
+                seen.add(c)
+                queue.append((c, word + (j,)))
     return None
+
+
+def _two_invertible(rng):
+    members = [rand_rank_one(rng, 3, 3) for _ in range(rng.randint(1, 3))]
+    for _ in range(2):
+        members.insert(rng.randint(0, len(members)), rand_invertible_int(rng, -3, 3))
+    return Instance(tuple(members))
+
+
+def _zero_member(rng):
+    members = list(random_instance(rng).matrices)
+    members.insert(rng.randint(0, len(members)), Mat2.zero())
+    return Instance(tuple(members))
+
+
+def _scaled_copies(rng):
+    # one singular member several times, as itself and scaled by +-p/q, so
+    # many words share a class; with another singular and an invertible
+    n = rand_rank_one(rng, 3, 3)
+    members = [n] + [n.scale(Fraction(rng.choice((-5, -2, 1, 3)), rng.randint(1, 5))) for _ in range(2)]
+    members += [rand_rank_one(rng, 3, 3), rand_invertible_int(rng, -3, 3)][: rng.randint(0, 2)]
+    rng.shuffle(members)
+    return Instance(tuple(members))
+
+
+INSTANCE_KINDS = {
+    "default": random_instance,
+    "entry7x5": lambda rng: random_instance(rng, EntryRange(7, 5)),
+    "one-invertible": lambda rng: random_instance(rng, invertible_probability=1.0),
+    "two-invertible": _two_invertible,
+    "zero-member": _zero_member,
+    "scaled-copies": _scaled_copies,
+}
+
+
+@pytest.mark.parametrize("kind", INSTANCE_KINDS)
+def test_search_words_match_the_full_matrix_search(kind):
+    # the same word, None included, at every bound: the rank-1 factors keep
+    # exactly the classes and the queue order of the full matrices
+    rng = random.Random(f"words-{kind}")
+    found = 0
+    for _ in range(60):
+        inst = INSTANCE_KINDS[kind](rng)
+        for bound in range(1, 9):
+            word = search(inst, bound)
+            assert word == _full_matrix_search(inst, bound), (inst, bound)
+        found += word is not None
+    assert 0 < found < 60 or kind == "zero-member"
+
+
+def test_rank_one_step_after_an_invertible_state():
+    # V N1 is an invertible state times a rank-1 member, kept as (V u1, w1),
+    # then times the rank-1 N2.  Every product is nonzero (V^2 = -I), but
+    # (V u1) . u2 == 0, so a step that confused u and w would report (0, 1, 2).
+    v = mat([[0, -1], [1, 0]])  # V u1 = (-2, 1)
+    n1 = mat([[1, 3], [2, 6]])  # u1 = (1, 2), w1 = (1, 3)
+    n2 = mat([[1, 0], [2, 0]])  # u2 = (1, 2), w2 = (1, 0)
+    inst = Instance((v, n1, n2))
+    for bound in range(1, 9):
+        assert search(inst, bound) is None
+        assert _full_matrix_search(inst, bound) is None
+    # V N1 N3 is zero exactly when N1 N3 is, so the shorter word is returned
+    n3 = mat([[3, 0], [-1, 0]])  # u3 = (3, -1), w1 . u3 == 0
+    assert search(Instance((v, n1, n3)), 3) == (1, 2)
 
 
 def test_search_examples():
@@ -90,7 +164,7 @@ def test_search_dedup_soundness():
             members.append(rand_invertible_int(rng, -2, 2))
         inst = Instance(tuple(members))
         with_dedup = search(inst, 5)
-        without = _search_without_dedup(inst, 5)
+        without = _full_matrix_search(inst, 5, dedup=False)
         assert (with_dedup is None) == (without is None)
         if with_dedup is not None:
             assert with_dedup == without
