@@ -254,8 +254,8 @@ def canon_int_mat(a: tuple[int, ...]) -> tuple[int, ...]:
             if value < 0:
                 g = -g
             break
-    # unrolled: the oracle's search normalises every product it builds, an
-    # invertible one as a matrix and a rank-1 one by its vector factors
+    # unrolled for the lengths in use: V in `analyze_inner`, and the vectors
+    # of `rank_one_factors` and of the oracle's search
     if len(a) == 4:
         return (a[0] // g, a[1] // g, a[2] // g, a[3] // g)
     if len(a) == 2:

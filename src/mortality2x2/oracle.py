@@ -1,15 +1,18 @@
 """Independent brute-force oracle: bounded product search and fuzz harness.
 
 `search` enumerates products breadth-first and reports a shortest zero
-product.  States are deduplicated by their projective canonical form: whether
-a product can ever reach zero depends only on that class, and scaling every
-factor to its class representative keeps integer sizes bounded while
-preserving zero-detection exactly.  Following the paper, a singular member
-is N = u w^T, so a product with a singular factor has rank at most 1: such a
-state is kept as its primitive factors (u, w), every other state as its
-primitive matrix.  A step is then a matrix product only between invertible
-factors, and the one zero test is the dot product w . u_N of a rank-1 state
-with a singular member.
+product.  It rests on two facts from the paper's reduction, where a singular
+member is N = u w^T:
+
+* no shortest zero word starts with an invertible member X, because X S is
+  zero only when S is;
+* a product u w^T P is zero exactly when the row w^T P is, so the future of
+  a word that starts with a singular member depends on the projective class
+  of that row alone, never on u.
+
+So every state is one primitive row, seeded from each singular member's w.
+An invertible step is a row-matrix product and a singular step only the dot
+product w . u_N, which is zero or leads back to the seed w_N.
 
 `fuzz_compare` cross-validates `decide` against `search` on seeded random
 instances and reports any disagreement.  It is the measuring stick for the
@@ -23,72 +26,68 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .decider import Immortal, Instance, Mortal, Unknown, Word, decide, verify_witness
-from .linalg import ZERO, IntMat, IntVec, InternalError, Mat2, Vec2, canon_int_mat, int_mat_mul, outer
+from .linalg import ZERO, IntMat, IntVec, InternalError, Mat2, Vec2, canon_int_mat, outer
 from .pairs import int_form, rank_one_factors
-
-# A product's projective class: an invertible one as its primitive matrix, a
-# rank-1 one as the primitive factors (u, w) of u w^T.
-State = Union[IntMat, tuple[IntVec, IntVec]]
 
 
 def search(instance: Instance, max_len: int) -> Optional[Word]:
     """Shortest word of length <= max_len whose product is zero, or None.
 
     Deterministic: ties between equal-length words break lexicographically.
-    Scaling each factor to its projective representative is sound because a
-    product is zero exactly when the product of class representatives is.
+    A zero member i gives (i,) at once.  Two facts then bound the search:
 
-    A state is one of two kinds.  An invertible product is its primitive
-    matrix `canon_int_mat(a)`.  A product with a singular factor has rank 1
-    (or is zero) and is kept as its primitive factors (u, w) from
-    `pairs.rank_one_factors`, standing for the class of u w^T; since u w^T
-    is then itself primitive with first nonzero entry positive, the pair and
-    the class determine each other, so the search keeps the same classes in
-    the same order as one on full matrices and returns the same word.  Each
-    step is a matrix product only between two invertible factors, otherwise
-    a matrix-vector product or a dot product.  The only product that can be
-    zero is rank 1 times rank 1: u w^T u_N w_N^T = (w . u_N) u w_N^T.
+    * a shortest zero word starts with a singular member, since a word X S
+      with X invertible is zero only if the shorter S is;
+    * a word that starts with N_i = u_i w_i^T has the product u_i r^T with
+      the row r^T = w_i^T P, so it and each extension of it are zero iff r
+      and the same extension of r are: its future depends on r's class.
+
+    A state is that class as a primitive row (`canon_int_mat`), seeded in
+    index order with each singular member's w from
+    `pairs.rank_one_factors`, the first word of each class kept.  A step on
+    an invertible member M is `canon_int_mat` of w^T M.  A step on a
+    singular member N_j is only the zero test w . u_j == 0: otherwise
+    w^T N_j is a multiple of w_j^T, a seed kept by a shorter word.
+
+    The result is the (length, lex)-first zero word.  The queue holds kept
+    words in (length, lex) order, and each class keeps its first word.  If
+    the first zero word had a dropped prefix, the word kept for that
+    prefix's class, followed by the same suffix, would be an earlier zero
+    word.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    members: list[State] = []
+    invertibles: list[tuple[int, IntMat]] = []
+    singulars: list[tuple[int, IntVec]] = []
+    seen: set[IntVec] = set()
+    queue: deque[tuple[IntVec, Word]] = deque()
     for i, m in enumerate(instance.matrices):
         form = int_form(m)
         a, det = form
         if a == ZERO:
             return (i,)
-        members.append(canon_int_mat(a) if det else rank_one_factors(form))
-    seen: set[State] = set()
-    queue: deque[tuple[State, Word]] = deque()
-    for i, c in enumerate(members):
-        if c not in seen:
-            seen.add(c)
-            queue.append((c, (i,)))
-    # Neither X u_N nor w^T M is zero, nor a product of two invertible
-    # factors, because X and M are invertible: those steps skip the zero test.
+        if det:
+            invertibles.append((i, a))
+        else:
+            u, w = rank_one_factors(form)
+            singulars.append((i, u))
+            if w not in seen:
+                seen.add(w)
+                queue.append((w, (i,)))
     while queue:
-        state, word = queue.popleft()
+        (w0, w1), word = queue.popleft()
         if len(word) >= max_len:
             break  # queue is in nondecreasing length order
-        for j, m in enumerate(members):
-            if len(state) == 4:
-                if len(m) == 4:
-                    c = canon_int_mat(int_mat_mul(state, m))
-                else:
-                    (u0, u1), w = m
-                    c = canon_int_mat((state[0] * u0 + state[1] * u1, state[2] * u0 + state[3] * u1)), w
-            else:
-                u, (w0, w1) = state
-                if len(m) == 4:
-                    c = u, canon_int_mat((w0 * m[0] + w1 * m[2], w0 * m[1] + w1 * m[3]))
-                else:
-                    (u0, u1), w = m
-                    if w0 * u0 + w1 * u1 == 0:
-                        return word + (j,)
-                    c = u, w
+        # a zero test ends the search, so testing before the invertible steps
+        # returns what the steps in index order would
+        for j, (u0, u1) in singulars:
+            if w0 * u0 + w1 * u1 == 0:
+                return word + (j,)
+        for j, m in invertibles:
+            c = canon_int_mat((w0 * m[0] + w1 * m[2], w0 * m[1] + w1 * m[3]))
             if c not in seen:
                 seen.add(c)
                 queue.append((c, word + (j,)))

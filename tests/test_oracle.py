@@ -18,9 +18,16 @@ from mortality2x2 import (
     search,
 )
 from mortality2x2 import oracle
-from mortality2x2.linalg import canon_int_mat, int_mat_mul, to_int_mat
+from mortality2x2.linalg import Vec2, canon_int_mat, int_mat_mul, outer, to_int_mat
 from mortality2x2.oracle import random_instance
-from helpers import exhaustive_search, rand_invertible_int, rand_rank_one
+from mortality2x2.pairs import int_form, rank_one_factors
+from helpers import (
+    exhaustive_search,
+    rand_invertible_int,
+    rand_nonperiodic_invertible,
+    rand_rank_one,
+    rand_rat,
+)
 
 
 def mat(rows):
@@ -29,8 +36,8 @@ def mat(rows):
 
 def _full_matrix_search(instance: Instance, max_len: int, dedup: bool = True):
     """Reference search on full matrices: every state a `canon_int_mat`
-    4-tuple and every step an `int_mat_mul`, in `search`'s breadth-first
-    order; with dedup=False, no state is dropped."""
+    4-tuple and every step an `int_mat_mul`, breadth-first in (length, lex)
+    order from every member; with dedup=False, no state is dropped."""
     mats = [to_int_mat(m) for m in instance.matrices]
     seen = set()
     queue = deque()
@@ -63,6 +70,35 @@ def _two_invertible(rng):
     return Instance(tuple(members))
 
 
+def _rand_vec(rng):
+    while True:
+        v = Vec2(rand_rat(rng, 3, 3), rand_rat(rng, 3, 3))
+        if not v.is_zero():
+            return v
+
+
+def _shared_row(rng):
+    # 2-3 singular members u_i w^T with one w and different u_i, plus an
+    # invertible member half the time: rows merge them into one state
+    w = _rand_vec(rng)
+    count, us = rng.randint(2, 3), []
+    while len(us) < count:
+        u = _rand_vec(rng)
+        if u not in us:
+            us.append(u)
+    members = [outer(u, w) for u in us]
+    if rng.random() < 0.5:
+        members.insert(rng.randint(0, len(members)), rand_invertible_int(rng, -3, 3))
+    return Instance(tuple(members))
+
+
+def _three_invertible(rng):
+    members = [rand_rank_one(rng, 3, 3) for _ in range(rng.randint(1, 3))]
+    for _ in range(3):
+        members.insert(rng.randint(0, len(members)), rand_invertible_int(rng, -3, 3))
+    return Instance(tuple(members))
+
+
 def _zero_member(rng):
     members = list(random_instance(rng).matrices)
     members.insert(rng.randint(0, len(members)), Mat2.zero())
@@ -86,13 +122,16 @@ INSTANCE_KINDS = {
     "two-invertible": _two_invertible,
     "zero-member": _zero_member,
     "scaled-copies": _scaled_copies,
+    "shared-row": _shared_row,
+    "three-invertible": _three_invertible,
 }
 
 
 @pytest.mark.parametrize("kind", INSTANCE_KINDS)
 def test_search_words_match_the_full_matrix_search(kind):
-    # the same word, None included, at every bound: the rank-1 factors keep
-    # exactly the classes and the queue order of the full matrices
+    # the same word, None included, at every bound: both return the
+    # (length, lex)-first zero word, though `search` keeps only rows of
+    # words that start with a singular member
     rng = random.Random(f"words-{kind}")
     found = 0
     for _ in range(60):
@@ -104,10 +143,10 @@ def test_search_words_match_the_full_matrix_search(kind):
     assert 0 < found < 60 or kind == "zero-member"
 
 
-def test_rank_one_step_after_an_invertible_state():
-    # V N1 is an invertible state times a rank-1 member, kept as (V u1, w1),
-    # then times the rank-1 N2.  Every product is nonzero (V^2 = -I), but
-    # (V u1) . u2 == 0, so a step that confused u and w would report (0, 1, 2).
+def test_no_word_starts_with_an_invertible_member():
+    # V N1 N2 is nonzero (V^2 = -I), yet (V u1) . u2 == 0, so a search that
+    # tested the column V u1 of V N1 against u2 would report (0, 1, 2).  The
+    # search builds no word that starts with V: its states are rows w X.
     v = mat([[0, -1], [1, 0]])  # V u1 = (-2, 1)
     n1 = mat([[1, 3], [2, 6]])  # u1 = (1, 2), w1 = (1, 3)
     n2 = mat([[1, 0], [2, 0]])  # u2 = (1, 2), w2 = (1, 0)
@@ -118,6 +157,46 @@ def test_rank_one_step_after_an_invertible_state():
     # V N1 N3 is zero exactly when N1 N3 is, so the shorter word is returned
     n3 = mat([[3, 0], [-1, 0]])  # u3 = (3, -1), w1 . u3 == 0
     assert search(Instance((v, n1, n3)), 3) == (1, 2)
+
+
+def test_search_builds_one_row_per_class(monkeypatch):
+    # every state `search` builds is one `canon_int_mat` of a row w^T M
+    calls = []
+    monkeypatch.setattr(oracle, "canon_int_mat", lambda a: calls.append(a) or canon_int_mat(a))
+    rng = random.Random(77)
+    # no shortest zero word starts with an invertible member, so invertible
+    # members alone give no state at all, where a search on products would
+    # enumerate the 6 classes of the dihedral group they generate in PGL2
+    r = mat([[0, -1], [1, -1]])  # order 3 in PGL2
+    inst = Instance((r, mat([[0, 1], [1, 0]]), r * r))
+    assert search(inst, 50) is None
+    assert calls == []
+    # one invertible member V: the rows at length l are w_i V^(l-1), at most
+    # one per singular member, and each takes one step
+    tight = 0
+    for _ in range(100):
+        members = [rand_rank_one(rng, 3, 3) for _ in range(rng.randint(1, 4))]
+        rows = {rank_one_factors(int_form(m))[1] for m in members}
+        if len(rows) < len(members):
+            continue
+        members.insert(rng.randint(0, len(members)), rand_nonperiodic_invertible(rng))
+        inst = Instance(tuple(members))
+        for bound in range(1, 11):
+            calls.clear()
+            word = search(inst, bound)
+            assert len(calls) <= len(rows) * (bound - 1), (inst, bound)
+            tight += word is None and len(calls) == len(rows) * (bound - 1)
+    assert tight > 0
+
+
+def test_rank_one_states_are_keyed_by_their_row():
+    # N1 = u w1^T and N2 = u w2^T share u, and only N2 N3 is zero: a search
+    # keyed by u would keep N1 alone and miss (1, 2)
+    n1 = mat([[1, 1], [0, 0]])  # u = (1, 0), w1 = (1, 1)
+    n2 = mat([[1, 0], [0, 0]])  # u = (1, 0), w2 = (1, 0)
+    n3 = mat([[0, 0], [1, 2]])  # u3 = (0, 1), w3 = (1, 2); w2 . u3 == 0 != w1 . u3
+    inst = Instance((n1, n2, n3))
+    assert search(inst, 2) == _full_matrix_search(inst, 2) == (1, 2)
 
 
 def test_search_examples():
