@@ -213,9 +213,10 @@ ZERO: IntMat = (0, 0, 0, 0)
 
 def to_int_mat(m: Mat2) -> IntMat:
     """Entries of the matrix m times the lcm of their denominators, row-major."""
-    entries = m.entries()
-    den_lcm = lcm(*(e.denominator for e in entries))
-    return tuple(e.numerator * (den_lcm // e.denominator) for e in entries)
+    a, b, c, d = m.e00, m.e01, m.e10, m.e11
+    t = lcm(a.denominator, b.denominator, c.denominator, d.denominator)
+    return (a.numerator * (t // a.denominator), b.numerator * (t // b.denominator),
+            c.numerator * (t // c.denominator), d.numerator * (t // d.denominator))
 
 
 def int_mat_mul(a: IntMat, b: IntMat) -> IntMat:

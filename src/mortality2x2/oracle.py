@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .decider import Immortal, Instance, Mortal, Unknown, Word, decide, verify_witness
-from .linalg import ZERO, IntMat, IntVec, InternalError, Mat2, Vec2, canon_int_mat, outer
+from .linalg import ZERO, IntMat, IntVec, InternalError, Mat2, canon_int_mat
 from .pairs import int_form, rank_one_factors
 
 
@@ -107,11 +107,11 @@ class EntryRange:
             raise ValueError("need max_numerator >= 0 and max_denominator >= 1")
 
 
-def _random_rat(rng: random.Random, entry_range: EntryRange) -> Fraction:
-    return Fraction(
-        rng.randint(-entry_range.max_numerator, entry_range.max_numerator),
-        rng.randint(1, entry_range.max_denominator),
-    )
+def _random_rats(rng: random.Random, entry_range: EntryRange) -> tuple[int, ...]:
+    """Four rationals a/b, c/d, e/f, g/h as (a, b, c, d, e, f, g, h)."""
+    top, den = entry_range.max_numerator, entry_range.max_denominator
+    return (rng.randint(-top, top), rng.randint(1, den), rng.randint(-top, top), rng.randint(1, den),
+            rng.randint(-top, top), rng.randint(1, den), rng.randint(-top, top), rng.randint(1, den))
 
 
 def random_instance(
@@ -121,24 +121,33 @@ def random_instance(
     invertible_probability: float = 0.5,
 ) -> Instance:
     """Random instance with 1..max_singulars singular members (rank <= 1 by
-    outer-product construction) and at most one invertible member."""
+    outer-product construction) and at most one invertible member.
+
+    The draws from `rng`, pinned by a digest in the tests, are in this order:
+    the count `randint(1, max_singulars)`; per singular member u v^T, the
+    entries of u = (a/b, c/d) and v = (e/f, g/h) as a, b, c, d, e, f, g, h,
+    each numerator `randint(-max_numerator, max_numerator)` and denominator
+    `randint(1, max_denominator)`; one `random()`; if it is below
+    `invertible_probability`, the rows (a/b, c/d) and (e/f, g/h) drawn alike
+    until nonsingular, then its index `randint(0, count)`.
+    """
+    if max_singulars < 1:
+        raise ValueError("max_singulars must be at least 1")
+    if not 0 <= invertible_probability <= 1:  # NaN fails too
+        raise ValueError("invertible_probability must be in [0, 1]")
     if invertible_probability > 0 and entry_range.max_numerator < 1:
         raise ValueError("an invertible member needs max_numerator >= 1")
     mats = []
     for _ in range(rng.randint(1, max_singulars)):
-        u = Vec2(_random_rat(rng, entry_range), _random_rat(rng, entry_range))
-        v = Vec2(_random_rat(rng, entry_range), _random_rat(rng, entry_range))
-        mats.append(outer(u, v))
+        a, b, c, d, e, f, g, h = _random_rats(rng, entry_range)
+        mats.append(Mat2(Fraction(a * e, b * f), Fraction(a * g, b * h),
+                         Fraction(c * e, d * f), Fraction(c * g, d * h)))
     if rng.random() < invertible_probability:
         while True:
-            m = Mat2(
-                _random_rat(rng, entry_range),
-                _random_rat(rng, entry_range),
-                _random_rat(rng, entry_range),
-                _random_rat(rng, entry_range),
-            )
-            if m.det() != 0:
+            a, b, c, d, e, f, g, h = _random_rats(rng, entry_range)
+            if a * g * d * f != c * e * b * h:  # the determinant, times b d f h > 0, is nonzero
                 break
+        m = Mat2(Fraction(a, b), Fraction(c, d), Fraction(e, f), Fraction(g, h))
         mats.insert(rng.randint(0, len(mats)), m)
     return Instance(tuple(mats))
 

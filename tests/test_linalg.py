@@ -2,10 +2,10 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mortality2x2 import Mat2, RankError
@@ -145,6 +145,20 @@ def test_int_mat_mul_matches_rational_product():
         a = tuple(rng.randint(-99, 99) for _ in range(4))
         b = tuple(rng.randint(-99, 99) for _ in range(4))
         assert Mat2(*int_mat_mul(a, b)) == Mat2(*a) * Mat2(*b)
+
+
+wide_rationals = st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30))
+
+
+@given(st.tuples(wide_rationals, wide_rationals, wide_rationals, wide_rationals))
+@example((Fraction(0), Fraction(-7, 10**30), Fraction(10**30 - 1, 3), Fraction(-5)))
+@example((Fraction(0), Fraction(0), Fraction(0), Fraction(0)))
+@settings(max_examples=300)
+def test_to_int_mat_scales_by_the_denominator_lcm(entries):
+    form = to_int_mat(Mat2(*entries))
+    assert type(form) is tuple and [type(x) for x in form] == [int] * 4
+    t = lcm(*(e.denominator for e in entries))
+    assert form == tuple(e * t for e in entries)  # row-major
 
 
 def primitive(m: Mat2) -> tuple[int, int, int, int]:

@@ -1,5 +1,6 @@
 """Bounded brute-force search and the fuzz harness."""
 
+import hashlib
 import random
 from collections import deque
 from fractions import Fraction
@@ -264,6 +265,71 @@ def test_random_instance_shape():
         assert 1 <= len(inst.matrices) <= 5
         assert len(inst.invertible_indices) <= 1
         assert len(inst.singular_indices) >= 1
+
+
+# sha256 of 2,000 draws from random.Random(2024) per parameterisation, every
+# entry hashed as its (numerator, denominator) pair: the benchmark's pools and
+# the answers digest rest on these exact draws
+DRAW_DIGESTS = {
+    "default": (
+        {},
+        "f05da3b9b32f6f8f4151fa479b3e372a054d4943e2c14eaa51cf28abe89e3dce",
+    ),
+    "entry7x5": (
+        {"entry_range": EntryRange(7, 5)},
+        "f0b8dfd2543d7626fff65733522aad6513864519066296ce087888065fb7e5f4",
+    ),
+    "zero-entries": (
+        {"entry_range": EntryRange(0, 1), "invertible_probability": 0.0},
+        "0eea3b0f51869fcdb908f6002177cad39301e5b2de1850419965bb1d41b3b9be",
+    ),
+    "invertible": (
+        {"invertible_probability": 1.0},
+        "4c01430238f350a28c8fb56b3bf0053e6777c5f3a25cb12ed624ff54d2996e64",
+    ),
+    "one-singular": (
+        {"max_singulars": 1},
+        "2cc44a2d35d7d96f086971206b1d78d5ab455e6cb95ce87484c37a405d723591",
+    ),
+    "six-singulars": (
+        {"max_singulars": 6, "entry_range": EntryRange(12, 9)},
+        "81ab3b9beace5f4561f3c11f14325b764338acf2f47ce95945965317d3dc7432",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", DRAW_DIGESTS)
+def test_random_instance_draws_are_pinned(kind):
+    kwargs, expected = DRAW_DIGESTS[kind]
+    rng = random.Random(2024)
+    digest = hashlib.sha256()
+    for _ in range(2000):
+        instance = random_instance(rng, **kwargs)
+        pairs = [(e.numerator, e.denominator) for m in instance.matrices for e in m.entries()]
+        digest.update(repr(pairs).encode())
+    assert digest.hexdigest() == expected
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("max_singulars", 0),
+        ("max_singulars", -3),
+        ("invertible_probability", 1.5),
+        ("invertible_probability", -1.0),
+        ("invertible_probability", float("nan")),
+    ],
+)
+def test_random_instance_rejects_bad_arguments(name, value):
+    # refused by name before any draw, at both entry points; NaN compares
+    # false with every bound, so an unchecked NaN would act as 0
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=name):
+        random_instance(rng, **{name: value})
+    assert rng.getstate() == state
+    with pytest.raises(ValueError, match=name):
+        fuzz_compare(count=1, seed=1, **{name: value})
 
 
 def test_fuzz_compare_trivial_zero_instance():
