@@ -73,23 +73,29 @@ def _echo(raw: str) -> str:
     return f"{raw[:_ECHO_CHARS]!r}... ({len(raw)} characters)"
 
 
-def _parse_entry(raw: object, where: str) -> Fraction:
+def _parse_entry(raw: object, mi: int, r: int, c: int) -> Fraction:
+    """Entry `matrices[mi][r][c]` of an instance file as a `Fraction`; the
+    label that names the entry is built only to refuse it."""
+    cause = None
     if isinstance(raw, bool):
-        raise CliError(f"{where}: boolean is not a rational entry")
-    if isinstance(raw, int):
+        problem = "boolean is not a rational entry"
+    elif isinstance(raw, int):
         return Fraction(raw)
-    if isinstance(raw, str):
+    elif isinstance(raw, str):
         # Checked first: Fraction() also reads exponents ("1e9999999", a huge
         # integer), decimals, underscores, spaces and non-ASCII digits.
         if not _ENTRY_STRING.fullmatch(raw):
-            raise CliError(f"{where}: {_echo(raw)} is not an integer or \"p/q\" string")
-        try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CliError(f"{where}: cannot parse rational string {_echo(raw)} ({exc})") from exc
-    if isinstance(raw, float):
-        raise CliError(f"{where}: floating point entries are not accepted; write an exact \"p/q\" string")
-    raise CliError(f"{where}: unsupported entry of type {type(raw).__name__}")
+            problem = f"{_echo(raw)} is not an integer or \"p/q\" string"
+        else:
+            try:
+                return Fraction(raw)
+            except (ValueError, ZeroDivisionError) as exc:
+                problem, cause = f"cannot parse rational string {_echo(raw)} ({exc})", exc
+    elif isinstance(raw, float):
+        problem = "floating point entries are not accepted; write an exact \"p/q\" string"
+    else:
+        problem = f"unsupported entry of type {type(raw).__name__}"
+    raise CliError(f"matrices[{mi}][{r}][{c}]: {problem}") from cause
 
 
 def load_instance(path: str) -> Instance:
@@ -118,9 +124,9 @@ def load_instance(path: str) -> Instance:
         ):
             raise CliError(f"matrices[{mi}]: expected a 2x2 array")
         entries = [
-            _parse_entry(raw_matrix[r][c], f"matrices[{mi}][{r}][{c}]")
-            for r in range(2)
-            for c in range(2)
+            _parse_entry(raw, mi, r, c)
+            for r, row in enumerate(raw_matrix)
+            for c, raw in enumerate(row)
         ]
         matrices.append(Mat2(*entries))
     return Instance(tuple(matrices))

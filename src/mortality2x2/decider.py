@@ -18,7 +18,7 @@ taken once, first, and every check below runs on them:
   polynomial with the seed, and periodicity) is done once per call, each
   member's rank check and factorization into primitive integer u, w with
   V u (`endpoint`) once per member, and only the two integer dot products,
-  the scalar solve and any witness check once per pair;
+  the scalar solve on ints and any witness check once per pair;
 * with two or more invertible members and a singular one the problem is
   out of scope; a bounded product search still runs and may prove
   mortality, otherwise the verdict is Unknown.
@@ -113,7 +113,9 @@ def decide(instance: Instance, oracle_bound: int = 8) -> Verdict:
 
     Ties are broken deterministically: the first witness in (pair index
     order, exponent) order wins, and the pair decider itself returns
-    minimal exponents.
+    minimal exponents.  With one invertible member, each ordered pair of
+    singular members goes to `decide_pair` once, in row-major order;
+    nothing is cached from one call of `decide` to the next.
     """
     mats = instance.matrices
     forms = [int_form(m) for m in mats]
@@ -145,10 +147,10 @@ def decide(instance: Instance, oracle_bound: int = 8) -> Verdict:
     v_index = invertibles[0]
     v = mats[v_index]
     inner = analyze_inner(forms[v_index])
-    ends = {i: endpoint(forms[i], inner.v) for i in singulars}
-    for i in singulars:
-        for j in singulars:
-            verdict = decide_pair(mats[i], v, mats[j], Prepared(inner, ends[i], ends[j]))
+    ends = [(j, mats[j], endpoint(forms[j], inner.v)) for j in singulars]
+    for i, n_i, end_i in ends:
+        for j, n_j, end_j in ends:
+            verdict = decide_pair(n_i, v, n_j, Prepared(inner, end_i, end_j))
             if isinstance(verdict, Witness):
                 word = (i,) + (v_index,) * verdict.k + (j,)
                 return Mortal(word, MORTAL_PAIR_EXPONENT, exponent_witness=(i, verdict.k, j))

@@ -20,7 +20,8 @@ whatever the sign of d (|p| < 1 for d < 0, |p| > 1 for d > 0).  One index
 search names that solution with O(log k) exact doubling steps (when 2p is
 an integer, a gallop and a bit-length estimate with one ladder), and one
 confirmation accepts it: the doubling ladder r_{2j} = (r_j^2 - c)/(2 r_j - b),
-r_{j+1} = c/(b - r_j) must give r_k = x.  That is plain rational equality,
+r_{j+1} = c/(b - r_j), whose doubling step is one `Fraction` built from
+r_j's numerator and denominator, must give r_k = x.  That is plain rational equality,
 so it also holds when d is a perfect square, and it refuses the conjugate
 solution rho^k = conj(tau), which is r_{-k} = x.  The zero discriminant
 uses the closed form r_k = (k-1) b / (2k), solved linearly.
@@ -37,10 +38,14 @@ factorization, and adds V u.  Per pair there remain only
 `pair_problem`'s two ints s0 = w_l . u_r and s1 = w_l . (V u_r) (with b and
 c they fix s), the scan or the scalar solve, and the witness check, so
 `decider.decide` builds the rest once and passes it in; a bare `decide_pair`
-takes the three forms itself and then runs the same path.  It alone runs the exact witness check,
-whichever branch named the exponent: the members' integer forms times the
-integer power of the canonical V (`is_witness`), with no `Fraction` in the
-product.
+takes the three forms itself and then runs the same path.  The scalar solve
+runs on ints: x = -s1/s0 is reduced by one gcd and handed, as numerator and
+positive denominator, to `_r_index`, the integer core behind the public
+`solve_r_eq_x`, whose guards V's analysis already meets.  A refusal is one
+of three `NoExponent` values built once, with the module.  `decide_pair`
+alone runs the exact witness check, whichever branch named the exponent:
+the members' integer forms times the integer power of the canonical V
+(`is_witness`), with no `Fraction` in the product.
 
 Every returned witness exponent is confirmed by an exact product check;
 every refusal is certified by exact arithmetic.  No floating point is used.
@@ -85,6 +90,11 @@ class NoExponent:
 
 
 PairVerdict = Union[Witness, NoExponent]
+
+# The three refusals, built once: `decide_pair` returns these shared values.
+_SCAN_EXHAUSTED = NoExponent(RefusalReason.PERIODIC_SCAN_EXHAUSTED)
+_CANDIDATE_FAILED = NoExponent(RefusalReason.SINGLE_CANDIDATE_FAILED)
+_RATIO_UNSATISFIABLE = NoExponent(RefusalReason.RATIO_EQUATION_UNSATISFIABLE)
 
 
 @dataclass(frozen=True)
@@ -212,16 +222,18 @@ def iter_recurrence(cp: CharPoly) -> Iterator[RecurrenceState]:
         k += 1
 
 
-def _r_term(b: Rat, c: Rat, k: int) -> Rat:
-    """r_k for k >= 1 in O(log k) exact steps.
+def _r_term(b: int, c: int, k: int) -> Rat:
+    """r_k for k >= 1 in O(log k) exact steps, on V's integer b and c.
 
     From V^j ~ V + r_j I: (V + r I)^2 = (2r - b) V + (r^2 - c) I gives
-    r_{2j} = (r_j^2 - c)/(2 r_j - b), and one Moebius step gives r_{j+1}.
-    Requires that no power of V is similar to the identity.
+    r_{2j} = (r_j^2 - c)/(2 r_j - b), built from r_j = p/q as the one
+    `Fraction` (p^2 - c q^2)/(q (2p - b q)), and one Moebius step gives
+    r_{j+1}.  Requires that no power of V is similar to the identity.
     """
     r = Fraction(0)  # r_1
     for bit in bin(k)[3:]:
-        r = (r * r - c) / (2 * r - b)
+        p, q = r.numerator, r.denominator
+        r = Fraction(p * p - c * q * q, q * (2 * p - b * q))
         if bit == "1":
             r = r_next(b, c, r)
             if r is None:
@@ -241,7 +253,9 @@ def solve_r_eq_x(cp: CharPoly, x: Rat) -> Optional[int]:
     (2x - b)^2 = d, is never attained: for d != 0 it is N(a) = 0 and needs a
     square d, for d = 0 it is the limit b/2.  The zero discriminant uses the
     closed form.  `cp` must have integer b and c, as `analyze_inner` builds
-    it on the canonical V; a rational one raises `ValueError`.
+    it on the canonical V; a rational one raises `ValueError`.  The guards
+    run here; the solve is `_r_index` on x's numerator and denominator, the
+    integer core that `decide_pair` calls directly.
     """
     if cp.c == 0:
         raise ValueError("c must be nonzero (invertible matrix)")
@@ -249,8 +263,13 @@ def solve_r_eq_x(cp: CharPoly, x: Rat) -> Optional[int]:
         raise ValueError("b = 0 makes V^2 scalar, which is periodic; handle via period_order")
     if cp.b.denominator != 1 or cp.c.denominator != 1:
         raise ValueError("b and c must be integers; scale V to an integer matrix first")
-    b, c = cp.b.numerator, cp.c.numerator
-    xn, xd = x.numerator, x.denominator
+    return _r_index(cp.b.numerator, cp.c.numerator, cp.seed, x.numerator, x.denominator)
+
+
+def _r_index(b: int, c: int, seed: Rat, xn: int, xd: int) -> Optional[int]:
+    """`solve_r_eq_x` past its guards: the k >= 1 with r_k == xn/xd, or None,
+    for integer b != 0 and c != 0 with no periodic power, their `CharPoly`
+    seed, and x = xn/xd in lowest terms with xd > 0."""
     disc = b * b - 4 * c
     # z = 2x - b = zn/zd in lowest terms, as gcd(2 xn - b xd, xd) = gcd(2, xd)
     zn, zd = (2 * xn - b * xd, xd) if xd % 2 else (xn - b * (xd // 2), xd // 2)
@@ -268,7 +287,7 @@ def solve_r_eq_x(cp: CharPoly, x: Rat) -> Optional[int]:
     den = zn_sq - disc * zd_sq
     g = gcd(4 * disc, den) if den > 0 else -gcd(4 * disc, den)
     den //= g
-    k = _cheb_index(cp.seed, (2 * den + 4 * disc // g * zd_sq, den))
+    k = _cheb_index(seed, (2 * den + 4 * disc // g * zd_sq, den))
     if k is None or k < 1:
         return None
     r = _r_term(b, c, k)
@@ -318,10 +337,13 @@ def decide_pair(
     forms `int_form` of v, n_left and n_right; without it they are built
     here, which validates the inputs.  From `pair_problem`'s s0 and s1: k = 0
     when s0 == 0; for V of period m, the first zero of s_1 .. s_{m-1} or
-    `PERIODIC_SCAN_EXHAUSTED`; otherwise `solve_r_eq_x` on x = -s1/s0, whose
-    refusal is `SINGLE_CANDIDATE_FAILED` at d = 0, else
-    `RATIO_EQUATION_UNSATISFIABLE`.  Every witness exponent passes the exact
-    product check of `is_witness`, on the endpoints' integer forms.
+    `PERIODIC_SCAN_EXHAUSTED`; otherwise the solve of `solve_r_eq_x` on
+    x = -s1/s0, reduced by one gcd of the two ints (its integer core
+    `_r_index`, as `inner` already meets the guards), whose refusal is
+    `SINGLE_CANDIDATE_FAILED` at d = 0, else `RATIO_EQUATION_UNSATISFIABLE`.
+    A refusal is one of three shared `NoExponent` values.  Every witness
+    exponent passes the exact product check of `is_witness`, on the
+    endpoints' integer forms.
     """
     if prepared is None:
         inner = analyze_inner(int_form(v))
@@ -338,13 +360,14 @@ def decide_pair(
                 break
             prev, cur = cur, -b * cur - c * prev
         else:
-            return NoExponent(RefusalReason.PERIODIC_SCAN_EXHAUSTED)
+            return _SCAN_EXHAUSTED
     else:
-        k = solve_r_eq_x(inner.char, Fraction(-s1, s0))
+        # x = -s1/s0 in lowest terms, its denominator positive: one gcd.
+        char = inner.char
+        g = gcd(s0, s1) if s0 > 0 else -gcd(s0, s1)
+        k = _r_index(char.b, char.c, char.seed, -s1 // g, s0 // g)
         if k is None:
-            if inner.char.discriminant == 0:
-                return NoExponent(RefusalReason.SINGLE_CANDIDATE_FAILED)
-            return NoExponent(RefusalReason.RATIO_EQUATION_UNSATISFIABLE)
+            return _CANDIDATE_FAILED if char.discriminant == 0 else _RATIO_UNSATISFIABLE
     if not is_witness(prepared.left.form, inner, prepared.right.form, k):
         raise InternalError(f"witness exponent {k} fails the exact product check")
     return Witness(k)

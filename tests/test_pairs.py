@@ -3,12 +3,14 @@ complex-eigenvalue entry point, and the pair decision with its certificates."""
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from math import isqrt, lcm
 
 import pytest
 
-from mortality2x2 import InternalError, Mat2, RankError
+from mortality2x2 import EntryRange, InternalError, Mat2, RankError
+from mortality2x2.oracle import random_instance
 from mortality2x2.linalg import (
     CharPoly, Vec2, canon_int_mat, char_poly, is_scalar_multiple, mat_pow, outer,
     to_int_mat,
@@ -575,3 +577,87 @@ def test_witness_check_matches_powering():
             left, right = to_int_mat(nl), to_int_mat(nr)
             for k in range(12):
                 assert is_witness(left, inner, right, k) == (nl * mat_pow(v, k) * nr).is_zero()
+
+
+# ------------------------------------------------------- the integer pair path
+
+
+def _regime(inner):
+    """The regime of V's canonical integer form, with d split by sign and squareness."""
+    d = inner.char.discriminant
+    if inner.order is not None:
+        return "periodic"
+    if d == 0:
+        return "d = 0"
+    if d < 0:
+        return "d < 0"
+    return "square d > 0" if isqrt(d) ** 2 == d else "non-square d > 0"
+
+
+def _reference_pair(prepared):
+    """The pair verdict from the public `solve_r_eq_x` on x = Fraction(-s1, s0)
+    and a scan of one period, with freshly built refusals."""
+    inner = prepared.inner
+    s0, s1 = pair_problem(prepared)
+    if s0 == 0:
+        return Witness(0)
+    if inner.order is not None:
+        zeros = [k for k, s in enumerate(_track(inner.char.b, inner.char.c, s0, s1, inner.order)) if s == 0]
+        return Witness(zeros[0]) if zeros else NoExponent(RefusalReason.PERIODIC_SCAN_EXHAUSTED)
+    k = solve_r_eq_x(inner.char, Fraction(-s1, s0))
+    if k is not None:
+        return Witness(k)
+    if inner.char.discriminant == 0:
+        return NoExponent(RefusalReason.SINGLE_CANDIDATE_FAILED)
+    return NoExponent(RefusalReason.RATIO_EQUATION_UNSATISFIABLE)
+
+
+def test_decide_pair_on_ints_matches_the_public_solver():
+    # fuzz draws with one invertible V at two entry ranges, V as drawn,
+    # negated and scaled by 1/3: decide_pair, which reduces x = -s1/s0 with
+    # one gcd and returns shared refusals, agrees with the public solver on
+    # every pair of rank-1 members, over both signs of s0 in every regime
+    shared = {r.reason: r for r in (pairs._SCAN_EXHAUSTED, pairs._CANDIDATE_FAILED, pairs._RATIO_UNSATISFIABLE)}
+    assert all(refusal == NoExponent(reason) for reason, refusal in shared.items())
+    assert set(shared) == set(RefusalReason)
+    seen = Counter()
+    for entry_range, seed in ((EntryRange(3, 3), 1907), (EntryRange(7, 5), 1908)):
+        rng = random.Random(seed)
+        for _ in range(200):
+            mats = random_instance(rng, entry_range, invertible_probability=1.0).matrices
+            v = next(m for m in mats if m.det() != 0)
+            ends = [m for m in mats if m.det() == 0 and not m.is_zero()]
+            for w in (v, v.scale(-1), v.scale(Fraction(1, 3))):
+                for nl in ends:
+                    for nr in ends:
+                        prepared = _prepared(nl, w, nr)
+                        expected = _reference_pair(prepared)
+                        verdict = decide_pair(nl, w, nr)
+                        assert verdict == expected
+                        assert decide_pair(nl, w, nr, prepared) == expected
+                        if isinstance(verdict, NoExponent):
+                            assert verdict is shared[verdict.reason]
+                        s0 = pair_problem(prepared)[0]
+                        regime = _regime(prepared.inner)
+                        seen["pairs"] += 1
+                        seen[regime, "s0 < 0" if s0 < 0 else "s0 > 0" if s0 else "s0 = 0"] += 1
+                        seen[regime, type(verdict).__name__ if s0 else "k = 0"] += 1
+    assert seen["pairs"] >= 3000
+    for regime in ("periodic", "d = 0", "d < 0", "square d > 0", "non-square d > 0"):
+        for case in ("s0 < 0", "s0 > 0", "s0 = 0", "Witness", "NoExponent"):
+            assert seen[regime, case] >= 5, (regime, case)
+
+
+def test_r_term_matches_the_moebius_iteration():
+    # the one-Fraction doubling ladder gives the iterated r_k for every
+    # k <= 200, on random non-periodic V of both signs of d
+    rng = random.Random(1909)
+    signs = Counter()
+    for _ in range(48):
+        char = analyze_inner(int_form(rand_nonperiodic_invertible(rng))).char
+        signs[(char.discriminant > 0) - (char.discriminant < 0)] += 1
+        for state in iter_recurrence(char):
+            if state.k > 200:
+                break
+            assert pairs._r_term(char.b, char.c, state.k) == state.r
+    assert signs[1] >= 10 and signs[-1] >= 10
