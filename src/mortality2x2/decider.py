@@ -2,7 +2,8 @@
 
 Complete whenever the set contains at most one invertible matrix or no
 singular one.  Each member's integer form and determinant (`int_form`) are
-taken once, first, and every check below runs on them:
+taken once per `Instance`, as `Instance.forms`, and `decide`, the oracle's
+`search` and `verify_witness` share them; every check below runs on them:
 
 * a zero member (integer form `ZERO`) is an immediate length-1 witness;
 * with no singular member every product is invertible: Immortal, whatever
@@ -31,12 +32,12 @@ multiples, cross-splitting two rank-1 factors), each preserving mortality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations
 from typing import Iterable, Optional, Union
 
-from .linalg import ZERO, Mat2, Vec2, int_mat_mul, outer, to_int_mat
-from .pairs import Prepared, Witness, analyze_inner, decide_pair, endpoint, int_form, rank_one_factors
+from .linalg import ZERO, Mat2, Vec2, int_mat_mul, outer
+from .pairs import IntForm, Prepared, Witness, analyze_inner, decide_pair, endpoint, int_form, rank_one_factors
 
 Word = tuple[int, ...]
 
@@ -55,7 +56,8 @@ class Instance:
     """An ordered finite set of matrices; words index into it by position.
 
     Duplicates are retained so witness words can name input positions
-    unambiguously.
+    unambiguously.  `forms`, each member's `int_form`, is taken on first use
+    and kept; it takes no part in equality, hashing or `repr`.
     """
 
     matrices: tuple[Mat2, ...]
@@ -71,13 +73,17 @@ class Instance:
     def from_rows(cls, rows: Iterable[Iterable[Iterable[int]]]) -> Instance:
         return cls(tuple(Mat2.from_rows(r) for r in rows))
 
+    @cached_property
+    def forms(self) -> tuple[IntForm, ...]:
+        return tuple(int_form(m) for m in self.matrices)
+
     @property
     def singular_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, m in enumerate(self.matrices) if m.det() == 0)
+        return tuple(i for i, (_, det) in enumerate(self.forms) if det == 0)
 
     @property
     def invertible_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, m in enumerate(self.matrices) if m.det() != 0)
+        return tuple(i for i, (_, det) in enumerate(self.forms) if det != 0)
 
 
 @dataclass(frozen=True)
@@ -114,17 +120,20 @@ def decide(instance: Instance, oracle_bound: int = 8) -> Verdict:
     Ties are broken deterministically: the first witness in (pair index
     order, exponent) order wins, and the pair decider itself returns
     minimal exponents.  With one invertible member, each ordered pair of
-    singular members goes to `decide_pair` once, in row-major order;
-    nothing is cached from one call of `decide` to the next.
+    singular members goes to `decide_pair` once, in row-major order.  No
+    verdict, endpoint or pair result outlives a call; an `Instance` keeps
+    only its own members' integer forms (`Instance.forms`).
     """
+    if oracle_bound < 1:
+        raise ValueError("oracle_bound must be at least 1")
     mats = instance.matrices
-    forms = [int_form(m) for m in mats]
+    forms = instance.forms
     for i, (a, _) in enumerate(forms):
         if a == ZERO:
             return Mortal((i,), MORTAL_ZERO_MEMBER)
 
-    invertibles = tuple(i for i, (_, det) in enumerate(forms) if det != 0)
-    singulars = tuple(i for i, (_, det) in enumerate(forms) if det == 0)
+    invertibles = instance.invertible_indices
+    singulars = instance.singular_indices
 
     if not singulars:
         return Immortal(IMMORTAL_ALL_INVERTIBLE)
@@ -160,8 +169,8 @@ def decide(instance: Instance, oracle_bound: int = 8) -> Verdict:
 def verify_witness(instance: Instance, word: Word) -> bool:
     """True iff the exact left-to-right product over `word` is zero.
 
-    The product is taken over the members' integer forms, each a positive
-    multiple of the member, so it is zero exactly when the rational one is.
+    The product is taken over `Instance.forms`, each a positive multiple of
+    its member, so it is zero exactly when the rational one is.
     """
     if not word:
         raise ValueError("witness word must be nonempty")
@@ -169,7 +178,7 @@ def verify_witness(instance: Instance, word: Word) -> bool:
     if min(word) < 0 or max(word) >= n:
         index = next(i for i in word if not 0 <= i < n)
         raise IndexError(f"word index {index} out of range 0..{n - 1}")
-    forms = {i: to_int_mat(instance.matrices[i]) for i in set(word)}
+    forms = [a for a, _ in instance.forms]
     return reduce(int_mat_mul, map(forms.__getitem__, word)) == ZERO
 
 
@@ -203,7 +212,7 @@ def pad_singular(instance: Instance, target: int) -> Instance:
         return instance
     base = None
     for i in singulars:
-        if not instance.matrices[i].is_zero():
+        if instance.forms[i][0] != ZERO:
             base = instance.matrices[i]
             break
     if base is None:

@@ -30,7 +30,7 @@ from typing import Optional
 
 from .decider import Immortal, Instance, Mortal, Unknown, Word, decide, verify_witness
 from .linalg import ZERO, IntMat, IntVec, InternalError, Mat2, canon_int_mat
-from .pairs import int_form, rank_one_factors
+from .pairs import rank_one_factors
 
 
 def search(instance: Instance, max_len: int) -> Optional[Word]:
@@ -46,11 +46,11 @@ def search(instance: Instance, max_len: int) -> Optional[Word]:
       and the same extension of r are: its future depends on r's class.
 
     A state is that class as a primitive row (`canon_int_mat`), seeded in
-    index order with each singular member's w from
-    `pairs.rank_one_factors`, the first word of each class kept.  A step on
-    an invertible member M is `canon_int_mat` of w^T M.  A step on a
-    singular member N_j is only the zero test w . u_j == 0: otherwise
-    w^T N_j is a multiple of w_j^T, a seed kept by a shorter word.
+    index order with each singular member's w, which `pairs.rank_one_factors`
+    takes from the shared `Instance.forms`, the first word of each class
+    kept.  A step on an invertible member M is `canon_int_mat` of w^T M.  A
+    step on a singular member N_j is only the zero test w . u_j == 0:
+    otherwise w^T N_j is a multiple of w_j^T, a seed kept by a shorter word.
 
     The result is the (length, lex)-first zero word.  The queue holds kept
     words in (length, lex) order, and each class keeps its first word.  If
@@ -64,8 +64,7 @@ def search(instance: Instance, max_len: int) -> Optional[Word]:
     singulars: list[tuple[int, IntVec]] = []
     seen: set[IntVec] = set()
     queue: deque[tuple[IntVec, Word]] = deque()
-    for i, m in enumerate(instance.matrices):
-        form = int_form(m)
+    for i, form in enumerate(instance.forms):
         a, det = form
         if a == ZERO:
             return (i,)
@@ -211,6 +210,8 @@ def fuzz_compare(
     """
     if count < 1:
         raise ValueError("count must be positive")
+    if bound < 1:
+        raise ValueError("bound must be at least 1")
     base = random.Random(seed)
     child_seeds = [base.getrandbits(63) for _ in range(count)]
     report = FuzzReport(count=count, seed=seed, bound=bound)

@@ -1,12 +1,13 @@
 """Set-level decisions, witness verification, and instance reductions."""
 
+import pickle
 import random
 import sys
 from fractions import Fraction
 
 import pytest
 
-from mortality2x2 import Immortal, Instance, Mat2, Mortal, RankError, Unknown, decide, verify_witness
+from mortality2x2 import Immortal, Instance, Mat2, Mortal, RankError, Unknown, decide, search, verify_witness
 from mortality2x2.linalg import Vec2, is_scalar_multiple, mat_pow, outer
 from mortality2x2.pairs import Prepared, Witness, analyze_inner, decide_pair, endpoint, int_form, rank_one_factors
 from mortality2x2.decider import (
@@ -428,10 +429,12 @@ def test_decide_hoists_the_per_v_and_per_member_work(monkeypatch):
 
 def test_decide_takes_each_integer_form_and_determinant_once(monkeypatch):
     # one planted pair: the members' integer forms and determinants are
-    # taken once, in decide, and reused by analyze_inner, endpoint and the
-    # witness check, so no Mat2.det is left
+    # taken once, as Instance.forms, and reused by analyze_inner, endpoint
+    # and the witness check, then by search and verify_witness as
+    # fuzz_compare runs them, and by the index properties and pad_singular,
+    # so no Mat2.det is left
     v = mat([[2, 1], [1, 1]])
-    inst = Instance((plant_pair(v, 40), v))
+    members = (plant_pair(v, 40), v)
     calls = {"to_int_mat": 0, "det": 0}
     real_det = Mat2.det
     real_to_int_mat = sys.modules["mortality2x2.linalg"].to_int_mat
@@ -448,8 +451,40 @@ def test_decide_takes_each_integer_form_and_determinant_once(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("mortality2x2") and getattr(module, "to_int_mat", None) is real_to_int_mat:
             monkeypatch.setattr(module, "to_int_mat", counted_to_int_mat)
-    assert decide(inst).exponent_witness == (0, 40, 0)
-    assert calls == {"to_int_mat": 2, "det": 0}
+    inst = Instance(members)
+    verdict = decide(inst)
+    assert verdict.exponent_witness == (0, 40, 0)
+    assert search(inst, 8) is None
+    assert verify_witness(inst, verdict.witness)
+    assert (inst.singular_indices, inst.invertible_indices) == ((0,), (1,))
+    assert pad_singular(inst, 2).matrices == (members[0], v, members[0].scale(2))
+    assert calls == {"to_int_mat": len(members), "det": 0}
+
+
+def test_a_decided_instance_equals_hashes_and_pickles_as_a_fresh_one():
+    # the kept integer forms are no field: equality, hash and repr read only
+    # the members, and a pickled decided instance decides the same
+    v = mat([[2, 1], [1, 1]])
+    members = (plant_pair(v, 40), v)
+    decided, fresh = Instance(members), Instance(members)
+    verdict = decide(decided)
+    copy = pickle.loads(pickle.dumps(decided))
+    for other in (decided, copy):
+        assert other == fresh
+        assert hash(other) == hash(fresh)
+        assert repr(other) == repr(fresh)
+    assert copy.forms == fresh.forms
+    assert decide(copy) == verdict == decide(fresh)
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_decide_refuses_a_search_bound_below_one(bound):
+    # refused by name up front, whatever the number of invertible members;
+    # only two or more of them ever reach the search
+    n, v = mat([[1, 2], [0, 0]]), mat([[2, 1], [1, 1]])
+    for members in ((n,), (n, v), (n, v, mat([[0, -1], [1, 0]]))):
+        with pytest.raises(ValueError, match="^oracle_bound must be at least 1$"):
+            decide(Instance(members), oracle_bound=bound)
 
 
 def test_decide_multiplies_and_zero_tests_only_integer_forms(monkeypatch):

@@ -15,6 +15,7 @@ from mortality2x2 import (
     Mat2,
     Mortal,
     Unknown,
+    decide,
     fuzz_compare,
     search,
 )
@@ -142,6 +143,19 @@ def test_search_words_match_the_full_matrix_search(kind):
             assert word == _full_matrix_search(inst, bound), (inst, bound)
         found += word is not None
     assert 0 < found < 60 or kind == "zero-member"
+
+
+@pytest.mark.parametrize("kind", INSTANCE_KINDS)
+def test_decide_again_and_search_after_decide_match_a_fresh_instance(kind):
+    # an Instance keeps only its members' integer forms from one call to the
+    # next, so a second decide and a search on a decided instance answer as
+    # on a fresh equal one
+    rng = random.Random(f"reuse-{kind}")
+    for _ in range(60):
+        inst = INSTANCE_KINDS[kind](rng)
+        verdict = decide(inst)
+        assert decide(inst) == verdict == decide(Instance(inst.matrices)), inst
+        assert search(inst, 8) == search(Instance(inst.matrices), 8), inst
 
 
 def test_no_word_starts_with_an_invertible_member():
@@ -330,6 +344,13 @@ def test_random_instance_rejects_bad_arguments(name, value):
     assert rng.getstate() == state
     with pytest.raises(ValueError, match=name):
         fuzz_compare(count=1, seed=1, **{name: value})
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_fuzz_compare_refuses_a_search_bound_below_one(bound):
+    # named as fuzz_compare's own argument, not search's max_len
+    with pytest.raises(ValueError, match="^bound must be at least 1$"):
+        fuzz_compare(count=1, seed=1, bound=bound)
 
 
 def test_fuzz_compare_trivial_zero_instance():
