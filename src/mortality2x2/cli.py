@@ -26,6 +26,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import groupby
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .decider import Immortal, Instance, Mortal, Unknown, Verdict, decide, verify_witness
@@ -137,8 +138,8 @@ def _verdict_report(verdict: Verdict, timings: dict) -> dict:
     exponent = verdict.exponent_witness if mortal else None
     report = {
         "verdict": {Mortal: "mortal", Immortal: "immortal", Unknown: "unknown"}[type(verdict)],
-        "witness": list(verdict.witness) if mortal else None,
-        "exponent_witnesses": [list(exponent)] if exponent is not None else None,
+        "witness": verdict.witness if mortal else None,
+        "exponent_witnesses": [exponent] if exponent is not None else None,
         "certificate": verdict.certificate,
     }
     if isinstance(verdict, Unknown):
@@ -153,21 +154,34 @@ def _join_runs(word: Sequence[int], sep: str) -> str:
 
 
 def _json_text(value: object, indent: str = "") -> str:
-    """Exactly json.dumps(value, indent=2) for a report (string keys), but a
-    flat list of ints, such as a witness word, is written run by run instead
-    of element by element by the pure-Python indenting encoder."""
+    """Exactly json.dumps(value, indent=2) for a report whose dict keys are
+    strings and whose tuples hold only ints.
+
+    A tuple is a word, such as a witness word or an exponent witness, and is
+    written run by run, with no look at each index's type.  Strings (with
+    `encode_basestring_ascii`, json.dumps's own escaper), exact ints and
+    None are written directly; lists and dicts element by element; anything
+    else, floats and booleans among them, by json.dumps.  The pure-Python
+    indenting encoder is never run.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return str(value)
+    if value is None:
+        return "null"
+    if not value or not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)
     inner = indent + "  "
     sep = ",\n" + inner
-    if isinstance(value, dict) and value:
-        body = sep.join(json.dumps(key) + ": " + _json_text(item, inner) for key, item in value.items())
+    if isinstance(value, dict):
+        body = sep.join(encode_basestring_ascii(key) + ": " + _json_text(item, inner) for key, item in value.items())
         return "{\n" + inner + body + "\n" + indent + "}"
-    if isinstance(value, (list, tuple)) and value:
-        if set(map(type, value)) == {int}:
-            body = _join_runs(value, sep)
-        else:
-            body = sep.join(_json_text(item, inner) for item in value)
-        return "[\n" + inner + body + "\n" + indent + "]"
-    return json.dumps(value)
+    if isinstance(value, tuple):
+        body = _join_runs(value, sep)
+    else:
+        body = sep.join(_json_text(item, inner) for item in value)
+    return "[\n" + inner + body + "\n" + indent + "]"
 
 
 def _emit(report: dict, as_json: bool) -> None:
@@ -220,7 +234,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if args.json:
         report = {
             "found": word is not None,
-            "witness": list(word) if word is not None else None,
+            "witness": word,
             "max_len": args.max_len,
             "timings": elapsed,
         }

@@ -44,10 +44,12 @@ positive denominator, to `_r_index`, the integer core behind the public
 `solve_r_eq_x`, whose guards V's analysis already meets.  A refusal is one
 of three `NoExponent` values built once, with the module.  `decide_pair`
 alone runs the exact witness check, whichever branch named the exponent:
-the members' integer forms times the integer power of the canonical V
-(`is_witness`), with no `Fraction` in the product.
+`is_witness` writes V^k = alpha V + beta I by the Cayley-Hamilton ladder
+of `_power_coefficients`, O(log k) integer steps, and tests
+w_l . (alpha (V u_r) + beta u_r) == 0 on the pair's endpoints, with no
+matrix power and no `Fraction`.
 
-Every returned witness exponent is confirmed by an exact product check;
+Every returned witness exponent is confirmed by this exact scalar check;
 every refusal is certified by exact arithmetic.  No floating point is used.
 """
 
@@ -61,7 +63,7 @@ from typing import Iterator, NamedTuple, Optional, Union
 
 from .linalg import (
     ZERO, CharPoly, IntMat, IntVec, InternalError, Mat2, Rat, RankError,
-    canon_int_mat, int_mat_mul, int_mat_pow, to_int_mat,
+    canon_int_mat, to_int_mat,
 )
 from .spectral import _cheb_index, period_order
 
@@ -145,14 +147,13 @@ class Endpoint:
 
     u, w and V u are integer vectors, u and w primitive with first nonzero
     entry positive, V u on the canonical V.  The left end of a pair uses the
-    row factor w, the right end u and V u; the witness check multiplies N's
-    integer form `form`.
+    row factor w, the right end u and V u, in the scalar track and in the
+    witness check alike.
     """
 
     u: IntVec
     w: IntVec
     vu: IntVec
-    form: IntMat
 
 
 def rank_one_factors(form: IntForm) -> tuple[IntVec, IntVec]:
@@ -176,7 +177,7 @@ def endpoint(form: IntForm, v: IntMat) -> Endpoint:
     `form = int_form(n)`; `v` is `InnerAnalysis.v`.
     """
     (u0, u1), w = rank_one_factors(form)
-    return Endpoint((u0, u1), w, (v[0] * u0 + v[1] * u1, v[2] * u0 + v[3] * u1), form[0])
+    return Endpoint((u0, u1), w, (v[0] * u0 + v[1] * u1, v[2] * u0 + v[3] * u1))
 
 
 class Prepared(NamedTuple):
@@ -309,22 +310,41 @@ def solve_ratio_power(cp: CharPoly, s0: Rat, s1: Rat) -> Optional[int]:
     return solve_r_eq_x(CharPoly(t * cp.b, t * t * cp.c), -t * Fraction(s1) / s0)
 
 
-def is_witness(left: IntMat, inner: InnerAnalysis, right: IntMat, k: int) -> bool:
-    """N_left V^k N_right == 0, by one exact integer product on the members'
-    integer forms `left`, `right` and the canonical V `inner.v`.
+def _power_coefficients(char: CharPoly, k: int) -> tuple[int, int]:
+    """Integers (alpha, beta), not both zero, with V^k a nonzero multiple of
+    alpha V + beta I, for V of characteristic polynomial `char` (int b, c).
 
-    For d = 0, V^k = lam^(k-1) (k V - (k-1) lam I) with lam = -b/2 != 0, so
-    the test reads left (2k V + (k-1) b I) right == 0 on O(log k)-bit
-    numbers, however large k is; otherwise V^k is powered out by
-    `int_mat_pow`.
+    By Cayley-Hamilton, V^2 = -b V - c I, so from V^j = alpha V + beta I a
+    doubling step gives V^(2j) = alpha (2 beta - b alpha) V + (beta^2 -
+    c alpha^2) I and a +1 step V^(j+1) = (beta - b alpha) V - c alpha I:
+    O(log k) steps on ints.  For d = 0, V^k = lam^(k-1) (k V - (k-1) lam I)
+    with lam = -b/2 != 0 gives (2k, (k-1) b) on O(log k)-bit numbers,
+    however large k is.
     """
-    v = inner.v
-    if inner.char.discriminant == 0:
-        shift = (k - 1) * inner.char.b
-        power = (2 * k * v[0] + shift, 2 * k * v[1], 2 * k * v[2], 2 * k * v[3] + shift)
-    else:
-        power = int_mat_pow(v, k)
-    return int_mat_mul(int_mat_mul(left, power), right) == ZERO
+    b, c = char.b, char.c
+    if char.discriminant == 0:
+        return 2 * k, (k - 1) * b
+    alpha, beta = 0, 1  # V^0
+    for bit in bin(k)[2:]:
+        alpha, beta = alpha * (2 * beta - b * alpha), beta * beta - c * (alpha * alpha)
+        if bit == "1":
+            alpha, beta = beta - b * alpha, -c * alpha
+    return alpha, beta
+
+
+def is_witness(prepared: Prepared, k: int) -> bool:
+    """N_left V^k N_right == 0, exactly, on one pair's hoisted data.
+
+    With N_left ~ u_l w_l^T and N_right ~ u_r w_r^T the product vanishes
+    exactly when w_l . V^k u_r does, and V^k ~ alpha V + beta I by
+    `_power_coefficients`.  The vector alpha (V u_r) + beta u_r is built
+    first, since u_r and V u_r are small even when w_l is not, and one dot
+    product with w_l tests it.
+    """
+    inner, left, right = prepared
+    alpha, beta = _power_coefficients(inner.char, k)
+    (w0, w1), (u0, u1), (vu0, vu1) = left.w, right.u, right.vu
+    return w0 * (alpha * vu0 + beta * u0) + w1 * (alpha * vu1 + beta * u1) == 0
 
 
 def decide_pair(
@@ -342,8 +362,8 @@ def decide_pair(
     `_r_index`, as `inner` already meets the guards), whose refusal is
     `SINGLE_CANDIDATE_FAILED` at d = 0, else `RATIO_EQUATION_UNSATISFIABLE`.
     A refusal is one of three shared `NoExponent` values.  Every witness
-    exponent passes the exact product check of `is_witness`, on the
-    endpoints' integer forms.
+    exponent passes the exact check of `is_witness`, on the endpoints'
+    factors and V's integer b and c.
     """
     if prepared is None:
         inner = analyze_inner(int_form(v))
@@ -368,6 +388,6 @@ def decide_pair(
         k = _r_index(char.b, char.c, char.seed, -s1 // g, s0 // g)
         if k is None:
             return _CANDIDATE_FAILED if char.discriminant == 0 else _RATIO_UNSATISFIABLE
-    if not is_witness(prepared.left.form, inner, prepared.right.form, k):
-        raise InternalError(f"witness exponent {k} fails the exact product check")
+    if not is_witness(prepared, k):
+        raise InternalError(f"witness exponent {k} fails the exact witness check")
     return Witness(k)

@@ -159,8 +159,9 @@ def _cheb_index(tp: Fraction, tq: tuple[int, int]) -> Optional[int]:
 
     * m = den(tp) > 1: writing tp = a/m, the numerator of t_n stays prime to
       m (it is a^n mod any prime of m), so den(t_n) = m^n exactly, whatever
-      the size of tp; the candidate is the exponent of den(tq) as a power
-      of m, confirmed by one exact evaluation of t_n.
+      the size of tp; the candidate is the exponent n of den(tq) as a power
+      of m.  As den(tq) = m^n is then the ladder's own denominator, one
+      exact evaluation of t_n confirms the candidate by its numerator alone.
     * integer tp with |tp| > 2: |t_{n+1}| >= |tp| |t_n| - |t_{n-1}| > |t_n|,
       so the candidate is the largest n with |t_n| <= |tq|.  Galloping over
       n = 2^i (t_{2n} = t_n^2 - 2) brackets it in [lo, 2 lo).  As
@@ -176,8 +177,8 @@ def _cheb_index(tp: Fraction, tq: tuple[int, int]) -> Optional[int]:
         n = _power_exponent(tq_den, m)
         if n is None:
             return None
-        num, _, den = _cheb_ladder(a, m, n)
-        return n if num * tq_den == tq_num * den else None
+        num, _, _ = _cheb_ladder(a, m, n)
+        return n if num == tq_num else None
     if abs(a) <= 2:
         raise ValueError("an integer doubled cosine in [-2, 2] gives a periodic track")
     bound = abs(tq_num)

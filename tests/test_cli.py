@@ -188,6 +188,11 @@ REPORTS = {
     "empty-dict": {},
     "empty-members": {"a": [], "b": {}, "c": [[], {}]},
     **{f"word-{name}": {"witness": word, "exponent_witnesses": [[0, len(word), 0]]} for name, word in WORDS.items()},
+    **{
+        f"tuple-word-{name}": {"witness": tuple(word), "exponent_witnesses": [(0, len(word), 0)]}
+        for name, word in WORDS.items()
+    },
+    "tuple-in-list": [(0,), (1, 1, 2), [], (-7, 0, 10**30)],
 }
 
 

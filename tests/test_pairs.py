@@ -12,8 +12,7 @@ import pytest
 from mortality2x2 import EntryRange, InternalError, Mat2, RankError
 from mortality2x2.oracle import random_instance
 from mortality2x2.linalg import (
-    CharPoly, Vec2, canon_int_mat, char_poly, is_scalar_multiple, mat_pow, outer,
-    to_int_mat,
+    CharPoly, Vec2, canon_int_mat, char_poly, int_mat_pow, is_scalar_multiple, mat_pow, outer,
 )
 from mortality2x2.pairs import (
     NoExponent,
@@ -460,7 +459,6 @@ def test_endpoint_matches_the_rational_factorization():
         u, w = _rational_endpoint_factors(n)
         end = endpoint(int_form(n), inner.v)
         assert (end.u, end.w, end.vu) == (u, w, (a * u[0] + b * u[1], c * u[0] + d * u[1]))
-        assert end.form == to_int_mat(n)
         assert is_scalar_multiple(n, outer(Vec2(*end.u), Vec2(*end.w))) is not None
     assert min(shapes.values()) >= 400
 
@@ -539,14 +537,20 @@ def test_periodic_scan_names_the_first_zero_or_refuses():
 
 
 def test_witness_check_survives_a_wrong_power(monkeypatch):
-    # the exact product check is not an assert: a wrong V^k must raise
-    n = mat([[7, -8], [0, 0]])
-    v = mat([[2, 0], [1, 1]])
-    assert decide_pair(n, v, n) == Witness(3)
-    real_pow = pairs.int_mat_pow
-    monkeypatch.setattr(pairs, "int_mat_pow", lambda a, k: real_pow(a, k + 1))
-    with pytest.raises(InternalError):
-        decide_pair(n, v, n)
+    # the exact witness check is not an assert: the Cayley-Hamilton
+    # coefficients of V^(k+1) in place of V^k must raise, off d = 0 and on
+    # its closed form alike
+    cases = (
+        (mat([[7, -8], [0, 0]]), mat([[2, 0], [1, 1]]), 3),
+        (mat([[-60, 1], [0, 0]]), mat([[1, 0], [12, 1]]), 5),
+    )
+    for n, v, k in cases:
+        assert decide_pair(n, v, n) == Witness(k)
+    real_coefficients = pairs._power_coefficients
+    monkeypatch.setattr(pairs, "_power_coefficients", lambda char, k: real_coefficients(char, k + 1))
+    for n, v, _ in cases:
+        with pytest.raises(InternalError):
+            decide_pair(n, v, n)
 
 
 def test_zero_discriminant_witness_check_needs_no_power():
@@ -558,25 +562,83 @@ def test_zero_discriminant_witness_check_needs_no_power():
     start = time.perf_counter()
     assert decide_pair(n, v, n) == Witness(k)
     assert time.perf_counter() - start < 1
-    inner = analyze_inner(int_form(v))
-    a = to_int_mat(n)
-    assert is_witness(a, inner, a, k)
-    assert not is_witness(a, inner, a, k - 1)
-    assert not is_witness(a, inner, a, k + 1)
+    prepared = _prepared(n, v, n)
+    assert is_witness(prepared, k)
+    assert not is_witness(prepared, k - 1)
+    assert not is_witness(prepared, k + 1)
+
+
+# Integer V in every regime of the witness check, by name: the periodic
+# orders, d = 0, d < 0, and square and non-square d > 0.
+WITNESS_REGIMES = {
+    "order 2": (0, -1, 1, 0),
+    "order 3": (0, -1, 1, -1),
+    "order 4": (1, -1, 1, 1),
+    "order 6": (2, -1, 1, 1),
+    "d = 0": (1, 1, 0, 1),
+    "d < 0": (1, -2, 1, 0),
+    "square d > 0": (2, 0, 1, 1),
+    "non-square d > 0": (2, 1, 1, 1),
+}
+
+
+def _witness_regime(inner):
+    return f"order {inner.order}" if inner.order is not None else _regime(inner)
+
+
+def test_power_coefficients_give_the_integer_power():
+    # V^k is a nonzero multiple of alpha V + beta I for every k <= 40: equal
+    # off d = 0, proportional on its closed form
+    for base in WITNESS_REGIMES.values():
+        inner = analyze_inner(int_form(Mat2(*base)))
+        v = inner.v
+        for k in range(41):
+            alpha, beta = pairs._power_coefficients(inner.char, k)
+            combo = (alpha * v[0] + beta, alpha * v[1], alpha * v[2], alpha * v[3] + beta)
+            power = int_mat_pow(v, k)
+            assert any(combo)
+            if inner.char.discriminant:
+                assert combo == power
+            else:
+                assert all(power[i] * combo[j] == power[j] * combo[i] for i in range(4) for j in range(4))
 
 
 def test_witness_check_matches_powering():
-    # the d = 0 shortcut and the powered product agree at every small k,
-    # also on a rational V whose canonical form is a multiple of it
+    # for k <= 12, on left != right endpoints, the Cayley-Hamilton check
+    # equals the zero test of the rational product N_l V^k N_r in every
+    # regime, on integer V and on rational V (conjugated by a random
+    # rational matrix and scaled); half the left rows are planted to vanish
+    # at a k <= 12, so both answers are reached in every regime
     rng = random.Random(80)
-    for v in (mat([[1, 1], [0, 1]]), mat([[Fraction(2, 3), Fraction(1, 3)], [0, Fraction(2, 3)]]),
-              mat([[3, -1], [1, 1]]), mat([[2, 1], [1, 1]])):
-        inner = analyze_inner(int_form(v))
-        for _ in range(20):
-            nl, nr = rand_rank_one(rng, 3, 3), rand_rank_one(rng, 3, 3)
-            left, right = to_int_mat(nl), to_int_mat(nr)
-            for k in range(12):
-                assert is_witness(left, inner, right, k) == (nl * mat_pow(v, k) * nr).is_zero()
+    seen = Counter()
+    for name, base in WITNESS_REGIMES.items():
+        for trial in range(24):
+            if trial % 2:
+                p = rand_mat(rng, 4, 3)
+                if p.det() == 0:
+                    continue
+                v = (p * Mat2(*base) * Mat2(p.e11, -p.e01, -p.e10, p.e00)).scale(rand_rat(rng, 5, 4) or 1)
+            else:
+                v = Mat2(*base)
+            nr = rand_rank_one(rng, 4, 3)
+            u = Vec2(nr.e00, nr.e10) if nr.e00 or nr.e10 else Vec2(nr.e01, nr.e11)
+            row = Vec2(rand_rat(rng, 4, 3), rand_rat(rng, 4, 3) or 1)
+            if trial % 4 < 2:
+                row = mat_pow(v, rng.randrange(13)).mul_vec(u).perp()
+            nl = outer(Vec2(rand_rat(rng, 4, 3) or 1, rand_rat(rng, 4, 3)), row)
+            if nl == nr:
+                continue
+            prepared = _prepared(nl, v, nr)
+            assert _witness_regime(prepared.inner) == name
+            rational = "integer V" if trial % 2 == 0 else "rational V"
+            for k in range(13):
+                zero = (nl * mat_pow(v, k) * nr).is_zero()
+                assert is_witness(prepared, k) == zero
+                seen[name, rational, zero] += 1
+    for name in WITNESS_REGIMES:
+        for rational in ("integer V", "rational V"):
+            for zero in (True, False):
+                assert seen[name, rational, zero] >= 3, (name, rational, zero)
 
 
 # ------------------------------------------------------- the integer pair path

@@ -130,6 +130,28 @@ def test_cheb_index_outside_unit_interval():
             assert _cheb_index(2 * p, (t.numerator, t.denominator)) == expected, (p, t)
 
 
+def test_cheb_index_confirms_a_fractional_seed_by_its_numerator():
+    # seed a/m with m in 2..7: den(t_n) = m^n is already proved when the
+    # ladder runs, so the numerator alone confirms; every t_n with n <= 200
+    # is accepted, and a numerator off by one over the same m^n refused
+    # unless the reduced value is itself on the track
+    seen = 0
+    for m in range(2, 8):
+        for a in (1, -1, m + 1, -(2 * m + 1), 5 * m - 1, 13 * m + 1):
+            tp = Fraction(a, m)
+            assert tp.denominator == m
+            track = doubled_cosine_track(tp / 2, 200)
+            index = {t: n for n, t in enumerate(track)}
+            for n, t in enumerate(track):
+                assert t.denominator == m**n
+                assert _cheb_index(tp, (t.numerator, t.denominator)) == n, (tp, n)
+                for num in (t.numerator - 1, t.numerator + 1):
+                    off = Fraction(num, m**n)
+                    seen += off.denominator == m**n
+                    assert _cheb_index(tp, (off.numerator, off.denominator)) == index.get(off), (tp, n, num)
+    assert seen >= 2000
+
+
 INTEGER_SEEDS = (3, -3, 4, -4, 5, 7, -6, 11, 100, -250)
 
 
