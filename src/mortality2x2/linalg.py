@@ -82,7 +82,7 @@ class Mat2:
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[RatLike]]) -> Mat2:
         (a, b), (c, d) = rows
-        return cls(_rat(a), _rat(b), _rat(c), _rat(d))
+        return cls(a, b, c, d)
 
     @classmethod
     def identity(cls) -> Mat2:

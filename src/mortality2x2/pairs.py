@@ -45,7 +45,7 @@ positive denominator, to `_r_index`, the integer core behind the public
 of three `NoExponent` values built once, with the module.  `decide_pair`
 alone runs the exact witness check, whichever branch named the exponent:
 `is_witness` writes V^k = alpha V + beta I by the Cayley-Hamilton ladder
-of `_power_coefficients`, O(log k) integer steps, and tests
+of `spectral.quad_pow`, O(log k) integer steps, and tests
 w_l . (alpha (V u_r) + beta u_r) == 0 on the pair's endpoints, with no
 matrix power and no `Fraction`.
 
@@ -65,7 +65,7 @@ from .linalg import (
     ZERO, CharPoly, IntMat, IntVec, InternalError, Mat2, Rat, RankError,
     canon_int_mat, to_int_mat,
 )
-from .spectral import _cheb_index, period_order
+from .spectral import _cheb_index, period_order, quad_pow
 
 
 class RefusalReason(str, enum.Enum):
@@ -264,14 +264,14 @@ def solve_r_eq_x(cp: CharPoly, x: Rat) -> Optional[int]:
         raise ValueError("b = 0 makes V^2 scalar, which is periodic; handle via period_order")
     if cp.b.denominator != 1 or cp.c.denominator != 1:
         raise ValueError("b and c must be integers; scale V to an integer matrix first")
-    return _r_index(cp.b.numerator, cp.c.numerator, cp.seed, x.numerator, x.denominator)
+    return _r_index(CharPoly(cp.b.numerator, cp.c.numerator), x.numerator, x.denominator)
 
 
-def _r_index(b: int, c: int, seed: Rat, xn: int, xd: int) -> Optional[int]:
+def _r_index(char: CharPoly, xn: int, xd: int) -> Optional[int]:
     """`solve_r_eq_x` past its guards: the k >= 1 with r_k == xn/xd, or None,
-    for integer b != 0 and c != 0 with no periodic power, their `CharPoly`
-    seed, and x = xn/xd in lowest terms with xd > 0."""
-    disc = b * b - 4 * c
+    for `char` with `int` b != 0 and c != 0 and no periodic power, and
+    x = xn/xd in lowest terms with xd > 0."""
+    b, c, disc = char.b, char.c, char.discriminant
     # z = 2x - b = zn/zd in lowest terms, as gcd(2 xn - b xd, xd) = gcd(2, xd)
     zn, zd = (2 * xn - b * xd, xd) if xd % 2 else (xn - b * (xd // 2), xd // 2)
     zn_sq, zd_sq = zn * zn, zd * zd
@@ -288,7 +288,7 @@ def _r_index(b: int, c: int, seed: Rat, xn: int, xd: int) -> Optional[int]:
     den = zn_sq - disc * zd_sq
     g = gcd(4 * disc, den) if den > 0 else -gcd(4 * disc, den)
     den //= g
-    k = _cheb_index(seed, (2 * den + 4 * disc // g * zd_sq, den))
+    k = _cheb_index(char.seed, (2 * den + 4 * disc // g * zd_sq, den))
     if k is None or k < 1:
         return None
     r = _r_term(b, c, k)
@@ -310,39 +310,17 @@ def solve_ratio_power(cp: CharPoly, s0: Rat, s1: Rat) -> Optional[int]:
     return solve_r_eq_x(CharPoly(t * cp.b, t * t * cp.c), -t * Fraction(s1) / s0)
 
 
-def _power_coefficients(char: CharPoly, k: int) -> tuple[int, int]:
-    """Integers (alpha, beta), not both zero, with V^k a nonzero multiple of
-    alpha V + beta I, for V of characteristic polynomial `char` (int b, c).
-
-    By Cayley-Hamilton, V^2 = -b V - c I, so from V^j = alpha V + beta I a
-    doubling step gives V^(2j) = alpha (2 beta - b alpha) V + (beta^2 -
-    c alpha^2) I and a +1 step V^(j+1) = (beta - b alpha) V - c alpha I:
-    O(log k) steps on ints.  For d = 0, V^k = lam^(k-1) (k V - (k-1) lam I)
-    with lam = -b/2 != 0 gives (2k, (k-1) b) on O(log k)-bit numbers,
-    however large k is.
-    """
-    b, c = char.b, char.c
-    if char.discriminant == 0:
-        return 2 * k, (k - 1) * b
-    alpha, beta = 0, 1  # V^0
-    for bit in bin(k)[2:]:
-        alpha, beta = alpha * (2 * beta - b * alpha), beta * beta - c * (alpha * alpha)
-        if bit == "1":
-            alpha, beta = beta - b * alpha, -c * alpha
-    return alpha, beta
-
-
 def is_witness(prepared: Prepared, k: int) -> bool:
     """N_left V^k N_right == 0, exactly, on one pair's hoisted data.
 
     With N_left ~ u_l w_l^T and N_right ~ u_r w_r^T the product vanishes
     exactly when w_l . V^k u_r does, and V^k ~ alpha V + beta I by
-    `_power_coefficients`.  The vector alpha (V u_r) + beta u_r is built
-    first, since u_r and V u_r are small even when w_l is not, and one dot
-    product with w_l tests it.
+    `quad_pow`.  The vector alpha (V u_r) + beta u_r is built first, since
+    u_r and V u_r are small even when w_l is not, and one dot product with
+    w_l tests it.
     """
     inner, left, right = prepared
-    alpha, beta = _power_coefficients(inner.char, k)
+    alpha, beta = quad_pow(inner.char, k)
     (w0, w1), (u0, u1), (vu0, vu1) = left.w, right.u, right.vu
     return w0 * (alpha * vu0 + beta * u0) + w1 * (alpha * vu1 + beta * u1) == 0
 
@@ -385,7 +363,7 @@ def decide_pair(
         # x = -s1/s0 in lowest terms, its denominator positive: one gcd.
         char = inner.char
         g = gcd(s0, s1) if s0 > 0 else -gcd(s0, s1)
-        k = _r_index(char.b, char.c, char.seed, -s1 // g, s0 // g)
+        k = _r_index(char, -s1 // g, s0 // g)
         if k is None:
             return _CANDIDATE_FAILED if char.discriminant == 0 else _RATIO_UNSATISFIABLE
     if not is_witness(prepared, k):

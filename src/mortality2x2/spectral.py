@@ -2,10 +2,10 @@
 
 Three pieces live here:
 
-* ``QuadNum`` -- exact arithmetic in a quadratic extension Q(sqrt(d)), with
-  ``quad_pow`` its square-and-multiply power.  The engine no longer uses
-  them; they stay only for their tests and the benchmark tracer, until the
-  benchmark stops naming them (ROADMAP item 1).
+* ``quad_pow`` -- the one power of V in the quadratic algebra Q[V]:
+  V^k = alpha_k V + beta_k I by Cayley-Hamilton, from V's characteristic
+  polynomial alone, in O(log k) integer steps.  The pair engine's witness
+  check and ``period_order``'s confirmation both take it.
 * ``cheb_solve`` -- given rational p, q in [-1, 1], the exact solution set of
   T_n(p) = q over nonnegative integers n, where T_n is the degree-n Chebyshev
   polynomial of the first kind (equivalently cos(n*theta) = q when
@@ -14,7 +14,7 @@ Three pieces live here:
   the seed b^2/c - 2 = 2 Re(rho) of V as its doubled p, for complex and
   real eigenvalues alike.
 * ``period_order`` -- the minimal m >= 1 with V^m scalar for an invertible
-  integer V, read off its seed and confirmed by one integer power;
+  integer V, read off its seed and confirmed by one ``quad_pow``;
   ``power_similar_identity`` is its face on a rational ``Mat2``.
 """
 
@@ -24,74 +24,31 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .linalg import IntMat, InternalError, Mat2, Rat, RatLike, _rat, int_mat_pow, mat_pow, to_int_mat
+from .linalg import CharPoly, IntMat, InternalError, Mat2, Rat, _rat, mat_pow, to_int_mat
 
 
-@dataclass(frozen=True, slots=True)
-class QuadNum:
-    """Exact element re + im * sqrt(d) of a quadratic extension.
+def quad_pow(char: CharPoly, k: int) -> tuple[int, int]:
+    """Integers (alpha, beta), not both zero, with V^k a nonzero multiple of
+    alpha V + beta I, for V of characteristic polynomial `char` (int b, c).
 
-    d is a fixed rational radicand shared by all operands of an expression;
-    it may have either sign and is not assumed square-free.  Mixing radicands
-    is rejected.
+    By Cayley-Hamilton, V^2 = -b V - c I, so from V^j = alpha V + beta I a
+    doubling step gives V^(2j) = alpha (2 beta - b alpha) V + (beta^2 -
+    c alpha^2) I and a +1 step V^(j+1) = (beta - b alpha) V - c alpha I:
+    O(log k) steps on ints.  For d = 0, V^k = lam^(k-1) (k V - (k-1) lam I)
+    with lam = -b/2 != 0 gives (2k, (k-1) b) on O(log k)-bit numbers,
+    however large k is.
     """
-
-    re: Rat
-    im: Rat
-    d: Rat
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", _rat(self.re))
-        object.__setattr__(self, "im", _rat(self.im))
-        object.__setattr__(self, "d", _rat(self.d))
-
-    def _check(self, other: QuadNum) -> None:
-        if self.d != other.d:
-            raise ValueError(f"mismatched radicands: {self.d} vs {other.d}")
-
-    @classmethod
-    def one(cls, d: RatLike) -> QuadNum:
-        return cls(Fraction(1), Fraction(0), _rat(d))
-
-    def __add__(self, other: QuadNum) -> QuadNum:
-        if not isinstance(other, QuadNum):
-            return NotImplemented
-        self._check(other)
-        return QuadNum(self.re + other.re, self.im + other.im, self.d)
-
-    def __mul__(self, other: QuadNum) -> QuadNum:
-        if not isinstance(other, QuadNum):
-            return NotImplemented
-        self._check(other)
-        return QuadNum(
-            self.re * other.re + self.d * self.im * other.im,
-            self.re * other.im + self.im * other.re,
-            self.d,
-        )
-
-    def __pow__(self, k: int) -> QuadNum:
-        if k < 0:
-            raise ValueError("exponent must be nonnegative")
-        result = QuadNum.one(self.d)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def conjugate(self) -> QuadNum:
-        return QuadNum(self.re, -self.im, self.d)
-
-    def norm(self) -> Rat:
-        """Field norm re^2 - d * im^2; multiplicative."""
-        return self.re * self.re - self.d * self.im * self.im
-
-
-def quad_pow(z: QuadNum, k: int) -> QuadNum:
-    """Exact k-th power by square-and-multiply; k = 0 gives 1."""
-    return z ** k
+    if k < 0:
+        raise ValueError("exponent must be nonnegative")
+    b, c = char.b, char.c
+    if char.discriminant == 0:
+        return 2 * k, (k - 1) * b
+    alpha, beta = 0, 1  # V^0
+    for bit in bin(k)[2:]:
+        alpha, beta = alpha * (2 * beta - b * alpha), beta * beta - c * (alpha * alpha)
+        if bit == "1":
+            alpha, beta = beta - b * alpha, -c * alpha
+    return alpha, beta
 
 
 @dataclass(frozen=True)
@@ -275,10 +232,9 @@ def period_order(v: IntMat) -> Optional[int]:
     if v[1] == v[2] == 0 and v[0] == v[3]:
         return 1
     order = None if trace * trace % det else _ORDER_BY_SEED.get(trace * trace // det - 2)
-    if order is not None:
-        power = int_mat_pow(v, order)
-        if power[1] or power[2] or power[0] != power[3]:
-            raise InternalError("order classification is exact")
+    # V^m = alpha V + beta I is scalar iff alpha = 0, as v is not scalar
+    if order is not None and quad_pow(CharPoly(-trace, det), order)[0] != 0:
+        raise InternalError("order classification is exact")
     return order
 
 

@@ -30,7 +30,7 @@ from mortality2x2.pairs import (
     solve_r_eq_x,
     solve_ratio_power,
 )
-from mortality2x2.spectral import power_similar_identity
+from mortality2x2.spectral import power_similar_identity, quad_pow
 from mortality2x2 import pairs
 from helpers import (
     REGIMES,
@@ -102,6 +102,11 @@ def test_solve_r_eq_x_examples():
     assert solve_r_eq_x(cp, Fraction(-6, 7)) == 3
     assert solve_r_eq_x(cp, Fraction(-1)) is None  # attracting fixed point
     assert solve_r_eq_x(CharPoly(-2, 1), Fraction(-1, 2)) == 2  # double root
+    # a Fraction-typed b and c still give an int exponent, in both solves
+    for cp, x, k in ((CharPoly(Fraction(-2), Fraction(1)), Fraction(-1, 2), 2),
+                     (CharPoly(Fraction(-3), Fraction(2)), Fraction(-6, 7), 3)):
+        found = solve_r_eq_x(cp, x)
+        assert found == k and type(found) is int
 
 
 def test_solve_r_eq_x_oscillating_regime():
@@ -546,8 +551,8 @@ def test_witness_check_survives_a_wrong_power(monkeypatch):
     )
     for n, v, k in cases:
         assert decide_pair(n, v, n) == Witness(k)
-    real_coefficients = pairs._power_coefficients
-    monkeypatch.setattr(pairs, "_power_coefficients", lambda char, k: real_coefficients(char, k + 1))
+    real_pow = pairs.quad_pow
+    monkeypatch.setattr(pairs, "quad_pow", lambda char, k: real_pow(char, k + 1))
     for n, v, _ in cases:
         with pytest.raises(InternalError):
             decide_pair(n, v, n)
@@ -586,14 +591,16 @@ def _witness_regime(inner):
     return f"order {inner.order}" if inner.order is not None else _regime(inner)
 
 
-def test_power_coefficients_give_the_integer_power():
-    # V^k is a nonzero multiple of alpha V + beta I for every k <= 40: equal
-    # off d = 0, proportional on its closed form
+def test_quad_pow_gives_the_integer_power():
+    # V^k is a nonzero multiple of alpha V + beta I for every 0 <= k <= 40:
+    # equal off d = 0, proportional on its closed form; a periodic V of
+    # order m has alpha_m = 0 (V^m scalar) and alpha_j != 0 for 0 < j < m
+    orders = set()
     for base in WITNESS_REGIMES.values():
         inner = analyze_inner(int_form(Mat2(*base)))
         v = inner.v
         for k in range(41):
-            alpha, beta = pairs._power_coefficients(inner.char, k)
+            alpha, beta = quad_pow(inner.char, k)
             combo = (alpha * v[0] + beta, alpha * v[1], alpha * v[2], alpha * v[3] + beta)
             power = int_mat_pow(v, k)
             assert any(combo)
@@ -601,6 +608,11 @@ def test_power_coefficients_give_the_integer_power():
                 assert combo == power
             else:
                 assert all(power[i] * combo[j] == power[j] * combo[i] for i in range(4) for j in range(4))
+        if inner.order is not None:
+            orders.add(inner.order)
+            alphas = [quad_pow(inner.char, j)[0] for j in range(1, inner.order + 1)]
+            assert alphas[-1] == 0 and all(alphas[:-1])
+    assert orders == {2, 3, 4, 6}
 
 
 def test_witness_check_matches_powering():

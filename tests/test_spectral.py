@@ -1,21 +1,19 @@
-"""Spectral layer: quadratic-field numbers, the cosine-equation solver, and
-the minimal-order decider."""
+"""Spectral layer: the cosine-equation solver, the minimal-order decider and
+the Cayley-Hamilton power `quad_pow` (checked against integer powers of V
+in every regime with the witness check, in test_pairs)."""
 
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mortality2x2 import InternalError, Mat2, spectral
-from mortality2x2.linalg import is_scalar_multiple, mat_pow
+from mortality2x2.linalg import CharPoly, is_scalar_multiple, mat_pow
 from mortality2x2.spectral import (
     Empty,
     Finite,
     Periodic,
     PeriodResult,
-    QuadNum,
     _cheb_index,
     _cheb_ladder,
     cheb_solve,
@@ -250,55 +248,32 @@ def test_period_order_on_integer_forms():
 
 def test_period_order_survives_a_wrong_power(monkeypatch):
     # the confirming power is not an assert: a non-scalar power must raise
-    real_pow = spectral.int_mat_pow
-    monkeypatch.setattr(spectral, "int_mat_pow", lambda a, k: real_pow(a, k + 1))
+    real_pow = spectral.quad_pow
+    monkeypatch.setattr(spectral, "quad_pow", lambda char, k: real_pow(char, k + 1))
     assert period_order((3, 0, 0, 3)) == 1  # needs no power
     with pytest.raises(InternalError):
         period_order((1, -1, 1, 1))
 
 
-# ------------------------------------------------------- QuadNum / quad_pow
+# ------------------------------------------------------------------ quad_pow
 
 
 def test_quad_pow_examples():
-    d = Fraction(-4)
-    one = QuadNum(1, 0, d)
-    assert quad_pow(one, 17) == one
-    i = QuadNum(0, 1, Fraction(-1))
-    assert quad_pow(i, 2) == QuadNum(-1, 0, Fraction(-1))
-    rho = QuadNum(Fraction(-3, 4), Fraction(-1, 4), Fraction(-7))
-    target = QuadNum.one(Fraction(-7))
+    # the quarter turn x^2 + 1: V^2 = -I and V^17 = V
+    quarter = CharPoly(0, 1)
+    assert quad_pow(quarter, 0) == (0, 1)
+    assert quad_pow(quarter, 2) == (0, -1)
+    assert quad_pow(quarter, 17) == (1, 0)
+    # x^2 - x + 2 (d = -7): its eigenvalue ratio has norm 1 but is no root
+    # of unity, so no power of V is scalar
     for k in range(1, 51):
-        assert quad_pow(rho, k) != target
+        assert quad_pow(CharPoly(-1, 2), k)[0] != 0
+    # d = 0 closed form: V = [[1, 0], [12, 1]] has V^k = k V - (k - 1) I,
+    # returned as twice that
+    assert quad_pow(CharPoly(-2, 1), 10**30) == (2 * 10**30, -2 * (10**30 - 1))
 
 
 def test_quad_pow_rejects_negative_exponent():
-    with pytest.raises(ValueError):
-        quad_pow(QuadNum(1, 1, 5), -2)
-
-
-def test_quadnum_mismatched_radicands_rejected():
-    with pytest.raises(ValueError):
-        QuadNum(1, 1, 5) * QuadNum(1, 1, 7)
-    with pytest.raises(ValueError):
-        QuadNum(1, 1, 5) + QuadNum(1, 1, 7)
-
-
-small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=5)
-
-
-@given(small_rationals, small_rationals, small_rationals, small_rationals, small_rationals)
-@settings(max_examples=200)
-def test_quadnum_norm_multiplicative(a, b, c, d, rad):
-    z = QuadNum(a, b, rad)
-    w = QuadNum(c, d, rad)
-    assert (z * w).norm() == z.norm() * w.norm()
-    assert z.conjugate().norm() == z.norm()
-
-
-def test_quadnum_pow_matches_repeated_multiplication():
-    z = QuadNum(Fraction(2, 3), Fraction(-1, 2), Fraction(5))
-    acc = QuadNum.one(Fraction(5))
-    for k in range(10):
-        assert quad_pow(z, k) == acc
-        acc = acc * z
+    for char in (CharPoly(0, 1), CharPoly(-1, 2), CharPoly(-2, 1)):
+        with pytest.raises(ValueError):
+            quad_pow(char, -1)

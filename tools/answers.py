@@ -84,7 +84,7 @@ def _pair_answer(n_left, v, n_right) -> list:
 
 
 def _sole_invertible(instance: Instance) -> Optional[int]:
-    invertibles = [i for i, m in enumerate(instance.matrices) if m.det() != 0]
+    invertibles = instance.invertible_indices
     return invertibles[0] if len(invertibles) == 1 else None
 
 
@@ -102,7 +102,7 @@ def answer(ident: str, instance: Instance) -> str:
     v_index = _sole_invertible(instance)
     if v_index is not None:
         v = instance.matrices[v_index]
-        singulars = [m for m in instance.matrices if m.det() == 0]
+        singulars = [instance.matrices[i] for i in instance.singular_indices]
         doc["pairs"] = [_pair_answer(a, v, b) for a in singulars for b in singulars]
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
