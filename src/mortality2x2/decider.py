@@ -1,9 +1,11 @@
 """Top-level mortality decision for a set of 2x2 rational matrices.
 
 Complete whenever the set contains at most one invertible matrix or no
-singular one.  Each member's integer form and determinant (`int_form`) are
-taken once per `Instance`, as `Instance.forms`, and `decide`, the oracle's
-`search` and `verify_witness` share them; every check below runs on them:
+singular one.  Each member's integer form and determinant
+(`linalg.int_form`) are taken once per `Instance`, as `Instance.forms`, and
+`decide`, the oracle's `search` and `verify_witness` share them.  The two
+checkers, `search` and `verify_witness`, run on `linalg` alone, no code of
+the pair engine `pairs`.  Every check below runs on the forms:
 
 * a zero member (integer form `ZERO`) is an immediate length-1 witness;
 * with no singular member every product is invertible: Immortal, whatever
@@ -36,8 +38,8 @@ from functools import cached_property, reduce
 from itertools import combinations
 from typing import Iterable, Optional, Union
 
-from .linalg import ZERO, Mat2, Vec2, int_mat_mul, outer
-from .pairs import IntForm, Prepared, Witness, analyze_inner, decide_pair, endpoint, int_form, rank_one_factors
+from .linalg import ZERO, IntForm, Mat2, Vec2, int_form, int_mat_mul, outer, rank_one_factors
+from .pairs import Prepared, Witness, analyze_inner, decide_pair, endpoint
 
 Word = tuple[int, ...]
 
@@ -228,7 +230,7 @@ def cross_split(b1: Mat2, b2: Mat2) -> tuple[Mat2, Mat2]:
     A product b1 V_1 ... V_n b2 vanishes exactly when the scalar chain
     b^T V_1 ... V_n c does, which is also what (c b^T) V_1 ... V_n (c b^T)
     tests; symmetrically, a d^T tests the reversed-endpoint products.  The
-    factors are the primitive integer ones of `pairs.rank_one_factors`, so
+    factors are the primitive integer ones of `linalg.rank_one_factors`, so
     each output is fixed up to that normal form, a nonzero multiple of the
     one any other factorization gives; `RankError` unless both are rank 1.
     """

@@ -1,14 +1,14 @@
 """Exact 2x2 linear algebra.
 
 Vectors, matrices and characteristic-polynomial data over arbitrary-precision
-rationals (`fractions.Fraction`), a matrix's integer form (`to_int_mat`), the
-integer product, power and zero (`int_mat_mul`, `int_mat_pow`, `ZERO`) and
-the primitive form of any integer tuple (`canon_int_mat`), on which the
-oracle keys its states and the decider and pair engine run their zero tests
-and per-pair arithmetic.  The one rank-1 factorization runs on integer
-forms too, as `pairs.rank_one_factors`; only its `RankError` lives here.
-Every value is immutable and every operation is a pure function.  No
-floating point is used anywhere.
+rationals (`fractions.Fraction`), a matrix's integer form (`to_int_mat`),
+with its determinant as `int_form`, the integer product, power and zero
+(`int_mat_mul`, `int_mat_pow`, `ZERO`), the primitive form of any integer
+tuple (`canon_int_mat`) and, on it, the one rank-1 factorization
+(`rank_one_factors`).  On these the oracle keys its states, `verify_witness`
+multiplies out a word, and the decider and pair engine run their zero tests
+and per-pair arithmetic.  Every value is immutable and every operation is a
+pure function.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -219,6 +219,16 @@ def to_int_mat(m: Mat2) -> IntMat:
             c.numerator * (t // c.denominator), d.numerator * (t // d.denominator))
 
 
+IntForm = tuple[IntMat, int]
+
+
+def int_form(m: Mat2) -> IntForm:
+    """A member's integer form `to_int_mat(m)` with its determinant, whose
+    sign and zero test are m's own."""
+    a = to_int_mat(m)
+    return a, a[0] * a[3] - a[1] * a[2]
+
+
 def int_mat_mul(a: IntMat, b: IntMat) -> IntMat:
     """The integer product a b, row-major."""
     return (
@@ -262,3 +272,17 @@ def canon_int_mat(a: tuple[int, ...]) -> tuple[int, ...]:
     if len(a) == 2:
         return (a[0] // g, a[1] // g)
     return tuple([value // g for value in a])
+
+
+def rank_one_factors(form: IntForm) -> tuple[IntVec, IntVec]:
+    """Primitive integer u and w with N a nonzero multiple of u w^T, from N's
+    integer form `form = int_form(n)`; `RankError` unless N has rank 1.
+
+    u is N's first nonzero column and w its first nonzero row, each made
+    primitive by `canon_int_mat`, so first nonzero entry positive.
+    """
+    a, det = form
+    if a == ZERO or det != 0:
+        raise RankError("expected a rank-1 matrix")
+    u = canon_int_mat((a[0], a[2]) if a[0] or a[2] else (a[1], a[3]))
+    return u, canon_int_mat(a[:2] if a[0] or a[1] else a[2:])

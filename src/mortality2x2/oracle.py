@@ -14,7 +14,9 @@ So every state is one primitive row, seeded from each singular member's w.
 An invertible step is a row-matrix product and a singular step only the dot
 product w . u_N, which is zero or leads back to the seed w_N.
 
-`fuzz_compare` cross-validates `decide` against `search` on seeded random
+`search` and `verify_witness` take integer forms, rank-1 factors and
+products from `linalg` alone and run no code of the pair engine `pairs`.
+`fuzz_compare` cross-validates `decide` against them on seeded random
 instances and reports any disagreement.  It is the measuring stick for the
 decision engine, never the authority for immortality.
 """
@@ -29,8 +31,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .decider import Immortal, Instance, Mortal, Unknown, Word, decide, verify_witness
-from .linalg import ZERO, IntMat, IntVec, InternalError, Mat2, canon_int_mat
-from .pairs import rank_one_factors
+from .linalg import ZERO, IntMat, IntVec, InternalError, Mat2, canon_int_mat, rank_one_factors
 
 
 def search(instance: Instance, max_len: int) -> Optional[Word]:
@@ -46,7 +47,7 @@ def search(instance: Instance, max_len: int) -> Optional[Word]:
       and the same extension of r are: its future depends on r's class.
 
     A state is that class as a primitive row (`canon_int_mat`), seeded in
-    index order with each singular member's w, which `pairs.rank_one_factors`
+    index order with each singular member's w, which `linalg.rank_one_factors`
     takes from the shared `Instance.forms`, the first word of each class
     kept.  A step on an invertible member M is `canon_int_mat` of w^T M.  A
     step on a singular member N_j is only the zero test w . u_j == 0:
@@ -194,14 +195,7 @@ class FuzzReport:
         }
 
 
-def fuzz_compare(
-    count: int,
-    seed: int,
-    bound: int = 8,
-    entry_range: EntryRange = EntryRange(),
-    max_singulars: int = 4,
-    invertible_probability: float = 0.5,
-) -> FuzzReport:
+def fuzz_compare(count: int, seed: int, bound: int = 8, entry_range: EntryRange = EntryRange()) -> FuzzReport:
     """Cross-validate `decide` against `search` on `count` seeded instances.
 
     Each instance is drawn from its own child seed, and the child seeds are
@@ -217,9 +211,7 @@ def fuzz_compare(
     report = FuzzReport(count=count, seed=seed, bound=bound)
 
     for child_seed in child_seeds:
-        instance = random_instance(
-            random.Random(child_seed), entry_range, max_singulars, invertible_probability
-        )
+        instance = random_instance(random.Random(child_seed), entry_range)
         t0 = time.perf_counter()
         verdict = decide(instance, oracle_bound=bound)
         t1 = time.perf_counter()

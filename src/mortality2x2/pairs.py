@@ -28,13 +28,13 @@ uses the closed form r_k = (k-1) b / (2k), solved linearly.
 
 Since N (tV)^k M = t^k N V^k M, scaling a member changes nothing, so the
 work runs on primitive integer forms, and every member enters through its
-integer form and determinant `int_form`, the one input of `analyze_inner`
-and `endpoint`.  `analyze_inner` does what depends on V alone -- the
-invertibility check, V's canonical form and, on that form, its `int` b
-and c with the seed (`CharPoly`) and the period test `period_order` --
-and `endpoint` takes a singular member's rank test, primitive column u
-and primitive row w from `rank_one_factors`, the package's one rank-1
-factorization, and adds V u.  Per pair there remain only
+integer form and determinant `linalg.int_form`, the one input of
+`analyze_inner` and `endpoint`.  `analyze_inner` does what depends on V
+alone -- the invertibility check, V's canonical form and, on that form, its
+`int` b and c with the seed (`CharPoly`) and the period test
+`period_order` -- and `endpoint` takes a singular member's rank test,
+primitive column u and primitive row w from `linalg.rank_one_factors`, the
+package's one rank-1 factorization, and adds V u.  Per pair there remain only
 `pair_problem`'s two ints s0 = w_l . u_r and s1 = w_l . (V u_r) (with b and
 c they fix s), the scan or the scalar solve, and the witness check, so
 `decider.decide` builds the rest once and passes it in; a bare `decide_pair`
@@ -62,8 +62,8 @@ from math import gcd, lcm
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .linalg import (
-    ZERO, CharPoly, IntMat, IntVec, InternalError, Mat2, Rat, RankError,
-    canon_int_mat, to_int_mat,
+    CharPoly, IntForm, IntMat, IntVec, InternalError, Mat2, Rat, canon_int_mat, int_form,
+    rank_one_factors,
 )
 from .spectral import _cheb_index, period_order, quad_pow
 
@@ -121,16 +121,6 @@ class InnerAnalysis:
     order: Optional[int]
 
 
-IntForm = tuple[IntMat, int]
-
-
-def int_form(m: Mat2) -> IntForm:
-    """A member's integer form `to_int_mat(m)` with its determinant, whose
-    sign and zero test are m's own."""
-    a = to_int_mat(m)
-    return a, a[0] * a[3] - a[1] * a[2]
-
-
 def analyze_inner(form: IntForm) -> InnerAnalysis:
     """Test V's integer form `int_form(v)` for invertibility, canonicalise it
     and derive its spectral data once."""
@@ -154,20 +144,6 @@ class Endpoint:
     u: IntVec
     w: IntVec
     vu: IntVec
-
-
-def rank_one_factors(form: IntForm) -> tuple[IntVec, IntVec]:
-    """Primitive integer u and w with N a nonzero multiple of u w^T, from N's
-    integer form `form = int_form(n)`; `RankError` unless N has rank 1.
-
-    u is N's first nonzero column and w its first nonzero row, each made
-    primitive by `canon_int_mat`, so first nonzero entry positive.
-    """
-    a, det = form
-    if a == ZERO or det != 0:
-        raise RankError("expected a rank-1 matrix")
-    u = canon_int_mat((a[0], a[2]) if a[0] or a[2] else (a[1], a[3]))
-    return u, canon_int_mat(a[:2] if a[0] or a[1] else a[2:])
 
 
 def endpoint(form: IntForm, v: IntMat) -> Endpoint:

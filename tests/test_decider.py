@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from mortality2x2 import Immortal, Instance, Mat2, Mortal, RankError, Unknown, decide, search, verify_witness
-from mortality2x2.linalg import Vec2, is_scalar_multiple, mat_pow, outer
-from mortality2x2.pairs import Prepared, Witness, analyze_inner, decide_pair, endpoint, int_form, rank_one_factors
+from mortality2x2.linalg import Vec2, int_form, is_scalar_multiple, mat_pow, outer, rank_one_factors
+from mortality2x2.pairs import Prepared, Witness, analyze_inner, decide_pair, endpoint
 from mortality2x2.decider import (
     IMMORTAL_ALL_INVERTIBLE,
     IMMORTAL_NO_ZERO_PAIR,

@@ -14,14 +14,15 @@ from mortality2x2.linalg import (
     Vec2,
     canon_int_mat,
     char_poly,
+    int_form,
     int_mat_mul,
     int_mat_pow,
     is_scalar_multiple,
     mat_pow,
     outer,
+    rank_one_factors,
     to_int_mat,
 )
-from mortality2x2.pairs import int_form, rank_one_factors
 from helpers import rand_mat
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)

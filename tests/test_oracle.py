@@ -1,7 +1,9 @@
 """Bounded brute-force search and the fuzz harness."""
 
 import hashlib
+import os
 import random
+import sys
 from collections import deque
 from fractions import Fraction
 
@@ -18,11 +20,11 @@ from mortality2x2 import (
     decide,
     fuzz_compare,
     search,
+    verify_witness,
 )
 from mortality2x2 import oracle
-from mortality2x2.linalg import Vec2, canon_int_mat, int_mat_mul, outer, to_int_mat
+from mortality2x2.linalg import Vec2, canon_int_mat, int_form, int_mat_mul, outer, rank_one_factors, to_int_mat
 from mortality2x2.oracle import random_instance
-from mortality2x2.pairs import int_form, rank_one_factors
 from helpers import (
     exhaustive_search,
     rand_invertible_int,
@@ -156,6 +158,34 @@ def test_decide_again_and_search_after_decide_match_a_fresh_instance(kind):
         verdict = decide(inst)
         assert decide(inst) == verdict == decide(Instance(inst.matrices)), inst
         assert search(inst, 8) == search(Instance(inst.matrices), 8), inst
+
+
+@pytest.mark.parametrize("kind", INSTANCE_KINDS)
+def test_checkers_run_no_pair_engine_code(kind):
+    # the checks that `fuzz_compare` runs against `decide` rest on `linalg`
+    # alone: on a fresh Instance, its integer forms, the search and the
+    # witness check call no function defined in pairs.py
+    rng = random.Random(f"layers-{kind}")
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(f"{os.path.basename(frame.f_code.co_filename)}:{frame.f_code.co_name}")
+
+    for _ in range(40):
+        inst = INSTANCE_KINDS[kind](rng)
+        verdict = decide(inst)
+        fresh = Instance(inst.matrices)
+        sys.setprofile(profile)
+        try:
+            fresh.forms
+            search(fresh, 8)
+            verified = not isinstance(verdict, Mortal) or verify_witness(fresh, verdict.witness)
+        finally:
+            sys.setprofile(None)
+        assert verified, inst
+    assert "linalg.py:int_form" in called
+    assert not [name for name in called if name.startswith("pairs.py:")], sorted(called)
 
 
 def test_no_word_starts_with_an_invertible_member():
@@ -335,15 +365,33 @@ def test_random_instance_draws_are_pinned(kind):
     ],
 )
 def test_random_instance_rejects_bad_arguments(name, value):
-    # refused by name before any draw, at both entry points; NaN compares
-    # false with every bound, so an unchecked NaN would act as 0
+    # refused by name before any draw; NaN compares false with every bound,
+    # so an unchecked NaN would act as 0
     rng = random.Random(1)
     state = rng.getstate()
     with pytest.raises(ValueError, match=name):
         random_instance(rng, **{name: value})
     assert rng.getstate() == state
-    with pytest.raises(ValueError, match=name):
-        fuzz_compare(count=1, seed=1, **{name: value})
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("entry_range", [EntryRange(), EntryRange(7, 5)], ids=["default", "entry7x5"])
+def test_fuzz_compare_draws_are_pinned(monkeypatch, seed, entry_range):
+    # instance i is `random_instance` on the i-th 63-bit child seed drawn
+    # from `seed`, the rule by which the benchmark pools and the answers
+    # corpus rebuild fuzz instances on their own
+    drawn = []
+
+    def record(instance, oracle_bound):
+        drawn.append(instance)
+        return decide(instance, oracle_bound)
+
+    monkeypatch.setattr(oracle, "decide", record)
+    count = 50
+    fuzz_compare(count=count, seed=seed, entry_range=entry_range)
+    base = random.Random(seed)
+    child_seeds = [base.getrandbits(63) for _ in range(count)]
+    assert drawn == [random_instance(random.Random(c), entry_range) for c in child_seeds]
 
 
 @pytest.mark.parametrize("bound", [0, -1])
@@ -351,15 +399,6 @@ def test_fuzz_compare_refuses_a_search_bound_below_one(bound):
     # named as fuzz_compare's own argument, not search's max_len
     with pytest.raises(ValueError, match="^bound must be at least 1$"):
         fuzz_compare(count=1, seed=1, bound=bound)
-
-
-def test_fuzz_compare_trivial_zero_instance():
-    # entry range compressed to zero forces the zero matrix everywhere
-    report = fuzz_compare(
-        count=1, seed=5, bound=2, entry_range=EntryRange(0, 1), invertible_probability=0.0
-    )
-    assert report.mortal == 1
-    assert report.contradictions == 0
 
 
 def test_fuzz_compare_small_run_is_clean_and_reproducible():

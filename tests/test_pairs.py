@@ -12,7 +12,8 @@ import pytest
 from mortality2x2 import EntryRange, InternalError, Mat2, RankError
 from mortality2x2.oracle import random_instance
 from mortality2x2.linalg import (
-    CharPoly, Vec2, canon_int_mat, char_poly, int_mat_pow, is_scalar_multiple, mat_pow, outer,
+    CharPoly, Vec2, canon_int_mat, char_poly, int_form, int_mat_pow, is_scalar_multiple, mat_pow,
+    outer,
 )
 from mortality2x2.pairs import (
     NoExponent,
@@ -22,7 +23,6 @@ from mortality2x2.pairs import (
     analyze_inner,
     decide_pair,
     endpoint,
-    int_form,
     is_witness,
     iter_recurrence,
     pair_problem,
