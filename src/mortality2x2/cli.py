@@ -13,7 +13,8 @@ block.
 
 Exit codes: 0 mortal / verified / clean fuzz run, 1 immortal / nonzero
 product / contradictions found, 2 unknown verdict, 64 malformed input,
-74 standard output closed before the report was written.
+70 engine failure (traceback on stderr, nothing on stdout), 74 standard
+output closed before the report was written.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import os
 import re
 import sys
 import time
+import traceback
 from fractions import Fraction
 from itertools import groupby
 from json.encoder import encode_basestring_ascii
@@ -39,6 +41,7 @@ EXIT_IMMORTAL = 1
 EXIT_FAIL = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT_ERROR = 64
+EXIT_SOFTWARE = 70
 EXIT_OUTPUT_ERROR = 74
 
 
@@ -326,6 +329,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_OUTPUT_ERROR
+    except Exception:
+        # No verdict: left uncaught, the exception would exit 1, Immortal's code.
+        traceback.print_exc()
+        return EXIT_SOFTWARE
     finally:
         if saved_limit is not None:
             sys.set_int_max_str_digits(saved_limit)

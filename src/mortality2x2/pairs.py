@@ -17,11 +17,11 @@ N(rho) = 1, its rational part is the Chebyshev equation T_k(p) = q with
 2p = rho + 1/rho = b^2/c - 2, the seed of `CharPoly`, so rho itself is
 never built.  The equation has at most one solution off the periodic case,
 whatever the sign of d (|p| < 1 for d < 0, |p| > 1 for d > 0).  One index
-search names that solution with O(log k) exact doubling steps (when 2p is
-an integer, a gallop and a bit-length estimate with one ladder), and one
-confirmation accepts it: the doubling ladder r_{2j} = (r_j^2 - c)/(2 r_j - b),
-r_{j+1} = c/(b - r_j), whose doubling step is one `Fraction` built from
-r_j's numerator and denominator, must give r_k = x.  That is plain rational equality,
+search, `spectral._cheb_index`, names that solution and checks it on the
+track 2 T_k(p) with one `spectral.quad_pow` (after a gallop and a bit-length
+estimate when 2p is an integer), and one confirmation accepts it: the
+`Fraction` ladder `_r_term`, r_{2j} = (r_j^2 - c)/(2 r_j - b),
+r_{j+1} = c/(b - r_j), must give r_k = x.  That is plain rational equality,
 so it also holds when d is a perfect square, and it refuses the conjugate
 solution rho^k = conj(tau), which is r_{-k} = x.  The zero discriminant
 uses the closed form r_k = (k-1) b / (2k), solved linearly.
@@ -296,7 +296,7 @@ def is_witness(prepared: Prepared, k: int) -> bool:
     w_l tests it.
     """
     inner, left, right = prepared
-    alpha, beta = quad_pow(inner.char, k)
+    alpha, beta = quad_pow(inner.char.b, inner.char.c, k)
     (w0, w1), (u0, u1), (vu0, vu1) = left.w, right.u, right.vu
     return w0 * (alpha * vu0 + beta * u0) + w1 * (alpha * vu1 + beta * u1) == 0
 

@@ -2,10 +2,11 @@
 
 Three pieces live here:
 
-* ``quad_pow`` -- the one power of V in the quadratic algebra Q[V]:
-  V^k = alpha_k V + beta_k I by Cayley-Hamilton, from V's characteristic
-  polynomial alone, in O(log k) integer steps.  The pair engine's witness
-  check and ``period_order``'s confirmation both take it.
+* ``quad_pow`` -- the module's one doubling ladder, the power of V in the
+  quadratic algebra Q[V]: V^k = alpha_k V + beta_k I by Cayley-Hamilton,
+  from V's integer characteristic coefficients b, c alone, in O(log k)
+  integer steps.  The pair engine's witness check, ``period_order``'s
+  confirmation and the Chebyshev index search's confirmation all take it.
 * ``cheb_solve`` -- given rational p, q in [-1, 1], the exact solution set of
   T_n(p) = q over nonnegative integers n, where T_n is the degree-n Chebyshev
   polynomial of the first kind (equivalently cos(n*theta) = q when
@@ -24,24 +25,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .linalg import CharPoly, IntMat, InternalError, Mat2, Rat, _rat, mat_pow, to_int_mat
+from .linalg import IntMat, InternalError, Mat2, Rat, _rat, mat_pow, to_int_mat
 
 
-def quad_pow(char: CharPoly, k: int) -> tuple[int, int]:
-    """Integers (alpha, beta), not both zero, with V^k a nonzero multiple of
-    alpha V + beta I, for V of characteristic polynomial `char` (int b, c).
+def quad_pow(b: int, c: int, k: int) -> tuple[int, int]:
+    """Integers (alpha, beta) with V^k = alpha V + beta I, for V of
+    characteristic polynomial x^2 + b x + c with int b and c != 0: exactly
+    for d = b^2 - 4c != 0, and a nonzero multiple of it for d = 0.
 
     By Cayley-Hamilton, V^2 = -b V - c I, so from V^j = alpha V + beta I a
     doubling step gives V^(2j) = alpha (2 beta - b alpha) V + (beta^2 -
     c alpha^2) I and a +1 step V^(j+1) = (beta - b alpha) V - c alpha I:
     O(log k) steps on ints.  For d = 0, V^k = lam^(k-1) (k V - (k-1) lam I)
-    with lam = -b/2 != 0 gives (2k, (k-1) b) on O(log k)-bit numbers,
-    however large k is.
+    with lam = -b/2 != 0 gives the multiple (2k, (k-1) b) on O(log k)-bit
+    numbers, however large k is.
     """
     if k < 0:
         raise ValueError("exponent must be nonnegative")
-    b, c = char.b, char.c
-    if char.discriminant == 0:
+    if b * b == 4 * c:
         return 2 * k, (k - 1) * b
     alpha, beta = 0, 1  # V^0
     for bit in bin(k)[2:]:
@@ -110,23 +111,26 @@ def cheb_solve(p: Rat, q: Rat) -> ChebyshevAnswer:
 def _cheb_index(tp: Fraction, tq: tuple[int, int]) -> Optional[int]:
     """The n >= 0 with t_n == tq on the track of t_1 = tp, or None.
 
-    tq is given as (numerator, positive denominator) in lowest terms.  The
-    track must not repeat, which holds in two cases, each giving at most one
-    candidate n:
+    tq is (numerator, positive denominator) in lowest terms, and so is
+    tp = a/m.  For M of characteristic polynomial x^2 - a x + m^2, exact in
+    `quad_pow` as a^2 != 4 m^2 in both cases below, M^n = alpha M + beta I
+    gives m^n t_n = tr M^n = a alpha + 2 beta and
+    m^(n+1) t_(n+1) = (a alpha + beta) a - 2 m^2 alpha.  The track must not
+    repeat, which holds in two cases, each giving at most one candidate n:
 
-    * m = den(tp) > 1: writing tp = a/m, the numerator of t_n stays prime to
-      m (it is a^n mod any prime of m), so den(t_n) = m^n exactly, whatever
-      the size of tp; the candidate is the exponent n of den(tq) as a power
-      of m.  As den(tq) = m^n is then the ladder's own denominator, one
-      exact evaluation of t_n confirms the candidate by its numerator alone.
+    * m > 1: the numerator of t_n stays prime to m (it is a^n mod any prime
+      of m), so den(t_n) = m^n exactly, whatever the size of tp; the
+      candidate is the exponent n of den(tq) as a power of m.  As den(tq) =
+      m^n is then the scale of the trace, one `quad_pow` confirms the
+      candidate by its numerator alone.
     * integer tp with |tp| > 2: |t_{n+1}| >= |tp| |t_n| - |t_{n-1}| > |t_n|,
       so the candidate is the largest n with |t_n| <= |tq|.  Galloping over
       n = 2^i (t_{2n} = t_n^2 - 2) brackets it in [lo, 2 lo).  As
       |t_n| = lam^n + lam^-n for the eigenvalue lam > 1 of the track, the
       bit length of t_n is n log2(lam) + O(1), so lo * bitlen(tq) //
-      bitlen(t_lo) lands within a step or two of n; one ladder evaluates t_n
-      and t_{n+1} there, the recurrence t_{n+-1} = tp t_n - t_{n-+1} walks
-      to the candidate, and its t_n confirms it.
+      bitlen(t_lo) lands within a step or two of n; one `quad_pow` gives
+      t_n and t_{n+1} there, the recurrence t_{n+-1} = tp t_n - t_{n-+1}
+      walks to the candidate, and its t_n confirms it.
     """
     a, m = tp.numerator, tp.denominator
     tq_num, tq_den = tq
@@ -134,8 +138,8 @@ def _cheb_index(tp: Fraction, tq: tuple[int, int]) -> Optional[int]:
         n = _power_exponent(tq_den, m)
         if n is None:
             return None
-        num, _, _ = _cheb_ladder(a, m, n)
-        return n if num == tq_num else None
+        alpha, beta = quad_pow(-a, m * m, n)
+        return n if a * alpha + 2 * beta == tq_num else None
     if abs(a) <= 2:
         raise ValueError("an integer doubled cosine in [-2, 2] gives a periodic track")
     bound = abs(tq_num)
@@ -146,7 +150,8 @@ def _cheb_index(tp: Fraction, tq: tuple[int, int]) -> Optional[int]:
         lo, t_lo, t_hi = max(1, 2 * lo), t_hi, t_hi * t_hi - 2
     # |t_lo| <= |tq| < |t_{2 lo}|, or lo = 0 and |tq| < |t_1|
     n = max(lo, min(2 * lo - 1, lo * bound.bit_length() // t_lo.bit_length()))
-    t_n, t_next, _ = _cheb_ladder(a, 1, n)
+    alpha, beta = quad_pow(-a, 1, n)
+    t_n, t_next = a * alpha + 2 * beta, (a * alpha + beta) * a - 2 * alpha
     while abs(t_next) <= bound:
         n, t_n, t_next = n + 1, t_next, a * t_next - t_n
     while abs(t_n) > bound:
@@ -176,26 +181,6 @@ def _power_exponent(value: int, base: int) -> Optional[int]:
     if power == value:
         return n
     return None
-
-
-def _cheb_ladder(a: int, m: int, n: int) -> tuple[int, int, int]:
-    """(A, B, m^n) with t_n = A / m^n and t_{n+1} = B / m^(n+1) on the track
-    of t_1 = a/m, in O(log n) steps.
-
-    Walks the pair (t_j, t_{j+1}) down the bits of n with the doubling
-    identities t_{2j} = t_j^2 - 2 and t_{2j+1} = t_j t_{j+1} - t_1, kept as
-    integer numerators over m^j and m^(j+1) so that no gcd is ever taken.
-    """
-    lo, hi, scale = 2, a, 1  # t_j = lo / m^j, t_{j+1} = hi / m^(j+1), scale = m^j
-    m_sq = m * m
-    for bit in bin(n)[2:]:
-        scale_sq = scale * scale
-        cross = lo * hi - a * scale_sq
-        if bit == "1":
-            lo, hi, scale = cross, hi * hi - 2 * m_sq * scale_sq, scale_sq * m
-        else:
-            lo, hi, scale = lo * lo - 2 * scale_sq, cross, scale_sq
-    return lo, hi, scale
 
 
 def _solve_periodic(tp: Fraction, tq: Fraction) -> ChebyshevAnswer:
@@ -233,7 +218,7 @@ def period_order(v: IntMat) -> Optional[int]:
         return 1
     order = None if trace * trace % det else _ORDER_BY_SEED.get(trace * trace // det - 2)
     # V^m = alpha V + beta I is scalar iff alpha = 0, as v is not scalar
-    if order is not None and quad_pow(CharPoly(-trace, det), order)[0] != 0:
+    if order is not None and quad_pow(-trace, det, order)[0] != 0:
         raise InternalError("order classification is exact")
     return order
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mortality2x2 import Immortal, Mortal, Unknown, cli
+from mortality2x2 import Immortal, InternalError, Mortal, Unknown, cli
 from mortality2x2.cli import main
 from mortality2x2.oracle import FuzzReport
 
@@ -413,6 +413,22 @@ def test_usage_errors_exit_64(capsys):
     capsys.readouterr()
     assert main([]) == 64
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("error", [InternalError, MemoryError])
+@pytest.mark.parametrize("target", ["decide", "fuzz_compare"])
+def test_engine_failure_exits_70_with_empty_stdout(tmp_path, capsys, monkeypatch, error, target):
+    # an exception from the engine is no verdict; left uncaught it would
+    # exit 1, which `decide` documents as Immortal
+    def fail(*args, **kwargs):
+        raise error("engine failure")
+
+    monkeypatch.setattr(cli, target, fail)
+    argv = ["decide", write(tmp_path, PLANTED), "--json"] if target == "decide" else ["fuzz", "--count", "1"]
+    assert main(argv) == cli.EXIT_SOFTWARE == 70
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("Traceback") and f"{error.__name__}: engine failure" in err
 
 
 def test_parse_error_leaves_the_shared_parser_usable(tmp_path, capsys, monkeypatch):

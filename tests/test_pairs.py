@@ -552,7 +552,7 @@ def test_witness_check_survives_a_wrong_power(monkeypatch):
     for n, v, k in cases:
         assert decide_pair(n, v, n) == Witness(k)
     real_pow = pairs.quad_pow
-    monkeypatch.setattr(pairs, "quad_pow", lambda char, k: real_pow(char, k + 1))
+    monkeypatch.setattr(pairs, "quad_pow", lambda b, c, k: real_pow(b, c, k + 1))
     for n, v, _ in cases:
         with pytest.raises(InternalError):
             decide_pair(n, v, n)
@@ -600,7 +600,7 @@ def test_quad_pow_gives_the_integer_power():
         inner = analyze_inner(int_form(Mat2(*base)))
         v = inner.v
         for k in range(41):
-            alpha, beta = quad_pow(inner.char, k)
+            alpha, beta = quad_pow(inner.char.b, inner.char.c, k)
             combo = (alpha * v[0] + beta, alpha * v[1], alpha * v[2], alpha * v[3] + beta)
             power = int_mat_pow(v, k)
             assert any(combo)
@@ -610,7 +610,7 @@ def test_quad_pow_gives_the_integer_power():
                 assert all(power[i] * combo[j] == power[j] * combo[i] for i in range(4) for j in range(4))
         if inner.order is not None:
             orders.add(inner.order)
-            alphas = [quad_pow(inner.char, j)[0] for j in range(1, inner.order + 1)]
+            alphas = [quad_pow(inner.char.b, inner.char.c, j)[0] for j in range(1, inner.order + 1)]
             assert alphas[-1] == 0 and all(alphas[:-1])
     assert orders == {2, 3, 4, 6}
 

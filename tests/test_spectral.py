@@ -8,14 +8,13 @@ from fractions import Fraction
 import pytest
 
 from mortality2x2 import InternalError, Mat2, spectral
-from mortality2x2.linalg import CharPoly, is_scalar_multiple, mat_pow
+from mortality2x2.linalg import int_mat_mul, int_mat_pow, is_scalar_multiple, mat_pow
 from mortality2x2.spectral import (
     Empty,
     Finite,
     Periodic,
     PeriodResult,
     _cheb_index,
-    _cheb_ladder,
     cheb_solve,
     period_order,
     power_similar_identity,
@@ -101,16 +100,21 @@ def _ladder_points(rng):
     return inside + outside + integral
 
 
-def test_cheb_ladder_matches_track():
+def test_quad_pow_gives_the_doubled_cosine_track():
+    # with 2p = a/m in lowest terms, x^2 - a x + m^2 has the track as its
+    # scaled trace sequence: (alpha, beta) = quad_pow(-a, m^2, n) gives
+    # m^n t_n = a alpha + 2 beta and m^(n+1) t_(n+1) = (a alpha + beta) a - 2 m^2 alpha
     rng = random.Random(60)
     for p in _ladder_points(rng):
         tp = 2 * p
+        if abs(tp) == 2:
+            continue  # d = 0: quad_pow gives only a multiple of the power
+        a, m = tp.numerator, tp.denominator
         track = doubled_cosine_track(p, 61)
         for n in range(61):
-            num, num_next, den = _cheb_ladder(tp.numerator, tp.denominator, n)
-            assert Fraction(num, den) == track[n], (p, n)
-            assert Fraction(num_next, den * tp.denominator) == track[n + 1], (p, n)
-            assert den == tp.denominator**n
+            alpha, beta = quad_pow(-a, m * m, n)
+            assert Fraction(a * alpha + 2 * beta, m**n) == track[n], (p, n)
+            assert Fraction((a * alpha + beta) * a - 2 * m * m * alpha, m ** (n + 1)) == track[n + 1], (p, n)
 
 
 def test_cheb_index_outside_unit_interval():
@@ -166,9 +170,13 @@ def test_cheb_index_at_integer_seeds_matches_the_track():
 
 
 def test_cheb_index_at_integer_seeds_deep():
+    # t_n is the trace of [[a, -1], [1, 0]]^n, whose characteristic
+    # polynomial is x^2 - a x + 1: an integer power independent of quad_pow
     n = 10**5
     for a in (3, -4, 7):
-        t_n, t_next, _ = _cheb_ladder(a, 1, n)
+        power = int_mat_pow((a, -1, 1, 0), n)
+        after = int_mat_mul(power, (a, -1, 1, 0))
+        t_n, t_next = power[0] + power[3], after[0] + after[3]
         assert _cheb_index(Fraction(a), (t_n, 1)) == n
         assert _cheb_index(Fraction(a), (t_next, 1)) == n + 1
         for t in (t_n - 1, t_n + 1, -t_n):
@@ -177,16 +185,17 @@ def test_cheb_index_at_integer_seeds_deep():
 
 def test_cheb_index_runs_one_ladder_at_an_integer_seed(monkeypatch):
     calls = []
-    real_ladder = spectral._cheb_ladder
+    real_pow = spectral.quad_pow
 
     def counted(*args):
         calls.append(args)
-        return real_ladder(*args)
+        return real_pow(*args)
 
-    monkeypatch.setattr(spectral, "_cheb_ladder", counted)
+    monkeypatch.setattr(spectral, "quad_pow", counted)
     for a in INTEGER_SEEDS:
         for n in (0, 1, 2, 3, 17, 64, 255, 1000, 4097):
-            t_n = real_ladder(a, 1, n)[0]
+            alpha, beta = real_pow(-a, 1, n)
+            t_n = a * alpha + 2 * beta
             for t in (t_n - 1, t_n, t_n + 1, 10 * t_n):
                 calls.clear()
                 _cheb_index(Fraction(a), (t, 1))
@@ -249,7 +258,7 @@ def test_period_order_on_integer_forms():
 def test_period_order_survives_a_wrong_power(monkeypatch):
     # the confirming power is not an assert: a non-scalar power must raise
     real_pow = spectral.quad_pow
-    monkeypatch.setattr(spectral, "quad_pow", lambda char, k: real_pow(char, k + 1))
+    monkeypatch.setattr(spectral, "quad_pow", lambda b, c, k: real_pow(b, c, k + 1))
     assert period_order((3, 0, 0, 3)) == 1  # needs no power
     with pytest.raises(InternalError):
         period_order((1, -1, 1, 1))
@@ -260,20 +269,19 @@ def test_period_order_survives_a_wrong_power(monkeypatch):
 
 def test_quad_pow_examples():
     # the quarter turn x^2 + 1: V^2 = -I and V^17 = V
-    quarter = CharPoly(0, 1)
-    assert quad_pow(quarter, 0) == (0, 1)
-    assert quad_pow(quarter, 2) == (0, -1)
-    assert quad_pow(quarter, 17) == (1, 0)
+    assert quad_pow(0, 1, 0) == (0, 1)
+    assert quad_pow(0, 1, 2) == (0, -1)
+    assert quad_pow(0, 1, 17) == (1, 0)
     # x^2 - x + 2 (d = -7): its eigenvalue ratio has norm 1 but is no root
     # of unity, so no power of V is scalar
     for k in range(1, 51):
-        assert quad_pow(CharPoly(-1, 2), k)[0] != 0
+        assert quad_pow(-1, 2, k)[0] != 0
     # d = 0 closed form: V = [[1, 0], [12, 1]] has V^k = k V - (k - 1) I,
     # returned as twice that
-    assert quad_pow(CharPoly(-2, 1), 10**30) == (2 * 10**30, -2 * (10**30 - 1))
+    assert quad_pow(-2, 1, 10**30) == (2 * 10**30, -2 * (10**30 - 1))
 
 
 def test_quad_pow_rejects_negative_exponent():
-    for char in (CharPoly(0, 1), CharPoly(-1, 2), CharPoly(-2, 1)):
+    for b, c in ((0, 1), (-1, 2), (-2, 1)):
         with pytest.raises(ValueError):
-            quad_pow(char, -1)
+            quad_pow(b, c, -1)
