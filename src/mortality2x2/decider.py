@@ -65,11 +65,13 @@ class Instance:
     matrices: tuple[Mat2, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "matrices", tuple(self.matrices))
-        if not self.matrices:
+        matrices = tuple(self.matrices)
+        if not matrices:
             raise ValueError("instance must contain at least one matrix")
-        if not all(isinstance(m, Mat2) for m in self.matrices):
-            raise TypeError("instance members must be Mat2 values")
+        for m in matrices:
+            if not isinstance(m, Mat2):
+                raise TypeError("instance members must be Mat2 values")
+        object.__setattr__(self, "matrices", matrices)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Iterable[int]]]) -> Instance:

@@ -35,19 +35,32 @@ class InternalError(AssertionError):
 
 
 def _rat(x: RatLike) -> Rat:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """x as a `Fraction`.  Only an `int` or a `Fraction` is taken: a float
+    would turn into its binary fraction (0.1 into 3602879701896397/2^55),
+    so it and anything else raise `TypeError`."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"expected an int or a Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True, slots=True)
+# The value classes below convert and set each field once, in their own
+# `__init__`; equality, hashing, `repr`, pickling and `dataclasses.replace`
+# are the dataclass's own.
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Vec2:
     """Column vector with two rational coordinates."""
 
     x0: Rat
     x1: Rat
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x0", _rat(self.x0))
-        object.__setattr__(self, "x1", _rat(self.x1))
+    def __init__(self, x0: RatLike, x1: RatLike) -> None:
+        put = object.__setattr__
+        put(self, "x0", _rat(x0))
+        put(self, "x1", _rat(x1))
 
     def dot(self, other: Vec2) -> Rat:
         return self.x0 * other.x0 + self.x1 * other.x1
@@ -64,7 +77,7 @@ class Vec2:
         return self.x0 == 0 and self.x1 == 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Mat2:
     """2x2 rational matrix, stored row-major."""
 
@@ -73,11 +86,12 @@ class Mat2:
     e10: Rat
     e11: Rat
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "e00", _rat(self.e00))
-        object.__setattr__(self, "e01", _rat(self.e01))
-        object.__setattr__(self, "e10", _rat(self.e10))
-        object.__setattr__(self, "e11", _rat(self.e11))
+    def __init__(self, e00: RatLike, e01: RatLike, e10: RatLike, e11: RatLike) -> None:
+        put = object.__setattr__
+        put(self, "e00", _rat(e00))
+        put(self, "e01", _rat(e01))
+        put(self, "e10", _rat(e10))
+        put(self, "e11", _rat(e11))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[RatLike]]) -> Mat2:
@@ -145,7 +159,7 @@ def outer(u: Vec2, v: Vec2) -> Mat2:
     return Mat2(u.x0 * v.x0, u.x0 * v.x1, u.x1 * v.x0, u.x1 * v.x1)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CharPoly:
     """Coefficients of the characteristic polynomial x^2 + b x + c, kept as
     `int`s when both are (as on V's integer form), else as `Fraction`s.
@@ -162,14 +176,14 @@ class CharPoly:
     discriminant: RatLike = field(init=False, repr=False, compare=False)
     seed: Optional[Rat] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        b, c = self.b, self.c
+    def __init__(self, b: RatLike, c: RatLike) -> None:
         if type(b) is not int or type(c) is not int:
             b, c = _rat(b), _rat(c)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "discriminant", b * b - 4 * c)
-        object.__setattr__(self, "seed", Fraction(b * b - 2 * c, c) if c else None)
+        put = object.__setattr__
+        put(self, "b", b)
+        put(self, "c", c)
+        put(self, "discriminant", b * b - 4 * c)
+        put(self, "seed", Fraction(b * b - 2 * c, c) if c else None)
 
 
 def is_scalar_multiple(m: Mat2, n: Mat2) -> Optional[Rat]:

@@ -28,7 +28,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .decider import Immortal, Instance, Mortal, Unknown, Word, decide, verify_witness
 from .linalg import ZERO, IntMat, IntVec, InternalError, Mat2, canon_int_mat, rank_one_factors
@@ -103,15 +103,34 @@ class EntryRange:
     max_denominator: int = 3
 
     def __post_init__(self) -> None:
+        for name in ("max_numerator", "max_denominator"):
+            if not isinstance(getattr(self, name), int):
+                raise TypeError(f"{name} must be an int")
         if self.max_numerator < 0 or self.max_denominator < 1:
             raise ValueError("need max_numerator >= 0 and max_denominator >= 1")
 
 
-def _random_rats(rng: random.Random, entry_range: EntryRange) -> tuple[int, ...]:
-    """Four rationals a/b, c/d, e/f, g/h as (a, b, c, d, e, f, g, h)."""
-    top, den = entry_range.max_numerator, entry_range.max_denominator
-    return (rng.randint(-top, top), rng.randint(1, den), rng.randint(-top, top), rng.randint(1, den),
-            rng.randint(-top, top), rng.randint(1, den), rng.randint(-top, top), rng.randint(1, den))
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform draw from range(n), n >= 1, taken as CPython's
+    `random.Random.randrange(n)` takes it: `getrandbits(n.bit_length())`
+    until the result is below n.  So `randint(lo, hi)` is
+    `lo + _below(getrandbits, hi - lo + 1)`, draw for draw, with one call
+    frame where `randint` runs three."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _random_rats(getrandbits: Callable[[int], int], top: int, den: int) -> tuple[int, ...]:
+    """Four rationals a/b, c/d, e/f, g/h as (a, b, c, d, e, f, g, h): each
+    numerator uniform in [-top, top], each denominator in [1, den]."""
+    span = 2 * top + 1
+    return (_below(getrandbits, span) - top, _below(getrandbits, den) + 1,
+            _below(getrandbits, span) - top, _below(getrandbits, den) + 1,
+            _below(getrandbits, span) - top, _below(getrandbits, den) + 1,
+            _below(getrandbits, span) - top, _below(getrandbits, den) + 1)
 
 
 def random_instance(
@@ -129,26 +148,33 @@ def random_instance(
     each numerator `randint(-max_numerator, max_numerator)` and denominator
     `randint(1, max_denominator)`; one `random()`; if it is below
     `invertible_probability`, the rows (a/b, c/d) and (e/f, g/h) drawn alike
-    until nonsingular, then its index `randint(0, count)`.
+    until nonsingular, then its index `randint(0, count)`.  Each of these
+    integers equals `randint`'s draw and is taken by `_below` straight from
+    `rng.getrandbits`, so the sequence rests on the Mersenne Twister's
+    `getrandbits` alone.
     """
+    if not isinstance(max_singulars, int):
+        raise TypeError("max_singulars must be an int")
     if max_singulars < 1:
         raise ValueError("max_singulars must be at least 1")
     if not 0 <= invertible_probability <= 1:  # NaN fails too
         raise ValueError("invertible_probability must be in [0, 1]")
-    if invertible_probability > 0 and entry_range.max_numerator < 1:
+    top, den = entry_range.max_numerator, entry_range.max_denominator
+    if invertible_probability > 0 and top < 1:
         raise ValueError("an invertible member needs max_numerator >= 1")
+    getrandbits = rng.getrandbits
     mats = []
-    for _ in range(rng.randint(1, max_singulars)):
-        a, b, c, d, e, f, g, h = _random_rats(rng, entry_range)
+    for _ in range(_below(getrandbits, max_singulars) + 1):
+        a, b, c, d, e, f, g, h = _random_rats(getrandbits, top, den)
         mats.append(Mat2(Fraction(a * e, b * f), Fraction(a * g, b * h),
                          Fraction(c * e, d * f), Fraction(c * g, d * h)))
     if rng.random() < invertible_probability:
         while True:
-            a, b, c, d, e, f, g, h = _random_rats(rng, entry_range)
+            a, b, c, d, e, f, g, h = _random_rats(getrandbits, top, den)
             if a * g * d * f != c * e * b * h:  # the determinant, times b d f h > 0, is nonzero
                 break
         m = Mat2(Fraction(a, b), Fraction(c, d), Fraction(e, f), Fraction(g, h))
-        mats.insert(rng.randint(0, len(mats)), m)
+        mats.insert(_below(getrandbits, len(mats) + 1), m)
     return Instance(tuple(mats))
 
 
@@ -200,18 +226,21 @@ def fuzz_compare(count: int, seed: int, bound: int = 8, entry_range: EntryRange 
 
     Each instance is drawn from its own child seed, and the child seeds are
     drawn once from `seed`, so instance i does not depend on how many
-    instances are checked or in which order.
+    instances are checked or in which order.  One generator serves them
+    all: reseeded with a child seed, it is in the state of a fresh
+    `random.Random(child_seed)`.
     """
     if count < 1:
         raise ValueError("count must be positive")
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    base = random.Random(seed)
-    child_seeds = [base.getrandbits(63) for _ in range(count)]
+    rng = random.Random(seed)
+    child_seeds = [rng.getrandbits(63) for _ in range(count)]
     report = FuzzReport(count=count, seed=seed, bound=bound)
 
     for child_seed in child_seeds:
-        instance = random_instance(random.Random(child_seed), entry_range)
+        rng.seed(child_seed)
+        instance = random_instance(rng, entry_range)
         t0 = time.perf_counter()
         verdict = decide(instance, oracle_bound=bound)
         t1 = time.perf_counter()

@@ -1,6 +1,9 @@
 """Exact arithmetic layer: the rank-1 factorization, powers, canonical forms."""
 
+import dataclasses
+import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -12,6 +15,7 @@ from mortality2x2 import Mat2, RankError
 from mortality2x2.linalg import (
     CharPoly,
     Vec2,
+    _rat,
     canon_int_mat,
     char_poly,
     int_form,
@@ -31,6 +35,84 @@ nonzero_rationals = rationals.filter(lambda x: x != 0)
 
 def mat(rows):
     return Mat2.from_rows(rows)
+
+
+def test_value_classes_set_each_field_once_without_post_init():
+    for cls in (Mat2, Vec2, CharPoly):
+        assert not hasattr(cls, "__post_init__")
+        assert "__init__" in vars(cls) and "__slots__" in vars(cls)
+
+
+def test_mat2_keeps_its_dataclass_behaviour():
+    m = Mat2(1, Fraction(1, 2), -3, 0)
+    # int entries are stored as Fractions, so int and Fraction spellings agree
+    assert all(type(e) is Fraction for e in m.entries())
+    assert m == Mat2(Fraction(1), Fraction(2, 4), Fraction(-3), Fraction(0))
+    assert hash(m) == hash(Mat2(Fraction(1), Fraction(2, 4), Fraction(-3), Fraction(0)))
+    assert Mat2(e00=1, e01=Fraction(1, 2), e10=-3, e11=0) == m
+    assert Mat2(1, e01=Fraction(1, 2), e11=0, e10=-3) == m
+    assert dataclasses.replace(m, e11=4) == Mat2(1, Fraction(1, 2), -3, 4)
+    assert type(dataclasses.replace(m, e11=4).e11) is Fraction
+    assert repr(m) == "Mat2(e00=Fraction(1, 1), e01=Fraction(1, 2), e10=Fraction(-3, 1), e11=Fraction(0, 1))"
+    assert pickle.loads(pickle.dumps(m)) == m
+    assert m != Mat2(1, Fraction(1, 2), -3, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.e00 = Fraction(2)
+    with pytest.raises(TypeError):
+        Mat2(1, 2, 3)
+
+
+def test_vec2_keeps_its_dataclass_behaviour():
+    v = Vec2(2, Fraction(-1, 3))
+    assert (type(v.x0), type(v.x1)) == (Fraction, Fraction)
+    assert v == Vec2(x0=Fraction(2), x1=Fraction(-1, 3))
+    assert hash(v) == hash(Vec2(Fraction(2), Fraction(-1, 3)))
+    assert dataclasses.replace(v, x0=0) == Vec2(0, Fraction(-1, 3))
+    assert repr(v) == "Vec2(x0=Fraction(2, 1), x1=Fraction(-1, 3))"
+    assert pickle.loads(pickle.dumps(v)) == v
+
+
+def test_char_poly_keeps_its_dataclass_behaviour():
+    cp = CharPoly(-3, 2)
+    # both int: kept as ints; otherwise both become Fractions
+    assert (type(cp.b), type(cp.c)) == (int, int)
+    mixed = CharPoly(Fraction(-3), 2)
+    assert (type(mixed.b), type(mixed.c)) == (Fraction, Fraction)
+    assert cp == mixed and hash(cp) == hash(mixed)
+    assert CharPoly(b=-3, c=2) == cp
+    # the derived invariants take no part in equality or repr, and are
+    # derived again by replace and kept by pickle
+    assert repr(cp) == "CharPoly(b=-3, c=2)"
+    assert (cp.discriminant, cp.seed) == (1, Fraction(5, 2))
+    other = dataclasses.replace(cp, c=5)
+    assert other == CharPoly(-3, 5)
+    assert (other.discriminant, other.seed) == (-11, Fraction(-1, 5))
+    back = pickle.loads(pickle.dumps(cp))
+    assert back == cp and (back.discriminant, back.seed) == (1, Fraction(5, 2))
+    assert CharPoly(1, 0).seed is None
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, Decimal("0.1"), "1/2", complex(1, 0), None])
+def test_only_ints_and_fractions_are_rationals(bad):
+    # a float would become its binary fraction: 0.1 is not 1/10
+    one = Fraction(1)
+    builds = [
+        lambda: _rat(bad),
+        lambda: Mat2(bad, 1, 1, 1),
+        lambda: Mat2(1, 1, 1, bad),
+        lambda: Vec2(1, bad),
+        lambda: CharPoly(bad, 1),
+        lambda: CharPoly(1, bad),
+        lambda: Mat2.identity().scale(bad),
+        lambda: Vec2(1, 1).scale(bad),
+        lambda: Mat2.from_rows([[1, bad], [0, 1]]),
+    ]
+    for build in builds:
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            build()
+    assert _rat(3) == 3 and type(_rat(3)) is Fraction
+    assert _rat(one) is one
+    assert Mat2(True, 0, 0, 1) == Mat2.identity()  # bool is an int
 
 
 def test_is_scalar_multiple_examples():

@@ -374,6 +374,49 @@ def test_random_instance_rejects_bad_arguments(name, value):
     assert rng.getstate() == state
 
 
+@pytest.mark.parametrize(
+    "name, make_kwargs",
+    [
+        ("max_singulars", lambda: {"max_singulars": 4.0}),
+        ("max_singulars", lambda: {"max_singulars": Fraction(4)}),
+        ("max_numerator", lambda: {"entry_range": EntryRange(3.0, 3)}),
+        ("max_denominator", lambda: {"entry_range": EntryRange(3, 3.0)}),
+        ("max_numerator", lambda: {"entry_range": EntryRange(max_numerator="3")}),
+    ],
+)
+def test_random_instance_rejects_non_integer_bounds(name, make_kwargs):
+    # refused by name before any draw, with the same TypeError on every
+    # Python: not drawn with a warning (3.10-3.11) or stopped mid-draw (3.12+)
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(TypeError, match=name):
+        random_instance(rng, **make_kwargs())
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("n", [*range(1, 71), 2**40 + 3])
+def test_below_draws_as_randrange(n):
+    # the same values and the same generator state, also for n = 1, which
+    # still consumes getrandbits(1) draws, and for a multi-word getrandbits
+    ours, theirs = random.Random(n), random.Random(n)
+    assert [oracle._below(ours.getrandbits, n) for _ in range(300)] == [theirs.randrange(n) for _ in range(300)]
+    assert ours.getstate() == theirs.getstate()
+
+
+def test_random_instance_draws_only_through_getrandbits_and_random():
+    class Strict(random.Random):
+        def randrange(self, *args, **kwargs):
+            raise AssertionError("randrange called")
+
+        randint = randrange
+
+    for kwargs, _ in DRAW_DIGESTS.values():
+        strict, plain = Strict(5), random.Random(5)
+        for _ in range(50):
+            assert random_instance(strict, **kwargs) == random_instance(plain, **kwargs)
+        assert strict.getstate() == plain.getstate()
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("entry_range", [EntryRange(), EntryRange(7, 5)], ids=["default", "entry7x5"])
 def test_fuzz_compare_draws_are_pinned(monkeypatch, seed, entry_range):

@@ -51,6 +51,14 @@ def test_cheb_solve_rejects_out_of_range():
         cheb_solve(Fraction(0), Fraction(-2))
 
 
+@pytest.mark.parametrize("p, q", [(0.5, Fraction(1)), (Fraction(1, 2), 0.5), (0.1, 1)])
+def test_cheb_solve_takes_only_ints_and_fractions(p, q):
+    # 0.1 would otherwise be read as its binary fraction, not 1/10
+    with pytest.raises(TypeError, match="int or a Fraction"):
+        cheb_solve(p, q)
+    assert cheb_solve(0, 1) == cheb_solve(Fraction(0), Fraction(1))
+
+
 def test_cheb_solve_periodic_cases_match_bruteforce():
     for p in (Fraction(1), Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(-1, 2)):
         for qn in range(-4, 5):
