@@ -44,6 +44,10 @@ EXIT_INPUT_ERROR = 64
 EXIT_SOFTWARE = 70
 EXIT_OUTPUT_ERROR = 74
 
+# each verdict type's name in a report and its exit code
+_VERDICTS = {Mortal: ("mortal", EXIT_MORTAL), Immortal: ("immortal", EXIT_IMMORTAL),
+             Unknown: ("unknown", EXIT_UNKNOWN)}
+
 
 class CliError(Exception):
     """Malformed input or usage; reported on stderr with exit code 64."""
@@ -140,7 +144,7 @@ def _verdict_report(verdict: Verdict, timings: dict) -> dict:
     mortal = isinstance(verdict, Mortal)
     exponent = verdict.exponent_witness if mortal else None
     report = {
-        "verdict": {Mortal: "mortal", Immortal: "immortal", Unknown: "unknown"}[type(verdict)],
+        "verdict": _VERDICTS[type(verdict)][0],
         "witness": verdict.witness if mortal else None,
         "exponent_witnesses": [exponent] if exponent is not None else None,
         "certificate": verdict.certificate,
@@ -212,11 +216,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
         "decide_ms": round(1000 * (t2 - t1), 3),
     }
     _emit(_verdict_report(verdict, timings), args.json)
-    if isinstance(verdict, Mortal):
-        return EXIT_MORTAL
-    if isinstance(verdict, Immortal):
-        return EXIT_IMMORTAL
-    return EXIT_UNKNOWN
+    return _VERDICTS[type(verdict)][1]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

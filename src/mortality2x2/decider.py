@@ -38,7 +38,7 @@ from functools import cached_property, reduce
 from itertools import combinations
 from typing import Iterable, Optional, Union
 
-from .linalg import ZERO, IntForm, Mat2, Vec2, int_form, int_mat_mul, outer, rank_one_factors
+from .linalg import ZERO, IntForm, Mat2, Vec2, _int_at_least, int_form, int_mat_mul, outer, rank_one_factors
 from .pairs import Prepared, Witness, analyze_inner, decide_pair, endpoint
 
 Word = tuple[int, ...]
@@ -127,9 +127,10 @@ def decide(instance: Instance, oracle_bound: int = 8) -> Verdict:
     singular members goes to `decide_pair` once, in row-major order.  No
     verdict, endpoint or pair result outlives a call; an `Instance` keeps
     only its own members' integer forms (`Instance.forms`).
+
+    A non-`int` `oracle_bound` raises `TypeError`; below 1, `ValueError`.
     """
-    if oracle_bound < 1:
-        raise ValueError("oracle_bound must be at least 1")
+    _int_at_least("oracle_bound", oracle_bound, 1)
     mats = instance.matrices
     forms = instance.forms
     for i, (a, _) in enumerate(forms):

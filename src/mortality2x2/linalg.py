@@ -45,6 +45,16 @@ def _rat(x: RatLike) -> Rat:
     raise TypeError(f"expected an int or a Fraction, got {type(x).__name__}")
 
 
+def _int_at_least(name: str, value: int, least: int) -> None:
+    """Refuse a count or bound argument, by name, unless it is an `int` of
+    at least `least`: a float (NaN among them), a `Fraction` or a `bool`
+    raises `TypeError`, a smaller int `ValueError`."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+
+
 # The value classes below convert and set each field once, in their own
 # `__init__`; equality, hashing, `repr`, pickling and `dataclasses.replace`
 # are the dataclass's own.

@@ -26,12 +26,12 @@ from __future__ import annotations
 import random
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .decider import Immortal, Instance, Mortal, Unknown, Word, decide, verify_witness
-from .linalg import ZERO, IntMat, IntVec, InternalError, Mat2, canon_int_mat, rank_one_factors
+from .linalg import ZERO, IntMat, IntVec, InternalError, Mat2, _int_at_least, canon_int_mat, rank_one_factors
 
 
 def search(instance: Instance, max_len: int) -> Optional[Word]:
@@ -58,9 +58,10 @@ def search(instance: Instance, max_len: int) -> Optional[Word]:
     the first zero word had a dropped prefix, the word kept for that
     prefix's class, followed by the same suffix, would be an earlier zero
     word.
+
+    A non-`int` `max_len` raises `TypeError`; below 1, `ValueError`.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
+    _int_at_least("max_len", max_len, 1)
     invertibles: list[tuple[int, IntMat]] = []
     singulars: list[tuple[int, IntVec]] = []
     seen: set[IntVec] = set()
@@ -103,11 +104,8 @@ class EntryRange:
     max_denominator: int = 3
 
     def __post_init__(self) -> None:
-        for name in ("max_numerator", "max_denominator"):
-            if not isinstance(getattr(self, name), int):
-                raise TypeError(f"{name} must be an int")
-        if self.max_numerator < 0 or self.max_denominator < 1:
-            raise ValueError("need max_numerator >= 0 and max_denominator >= 1")
+        _int_at_least("max_numerator", self.max_numerator, 0)
+        _int_at_least("max_denominator", self.max_denominator, 1)
 
 
 def _below(getrandbits: Callable[[int], int], n: int) -> int:
@@ -153,10 +151,7 @@ def random_instance(
     `rng.getrandbits`, so the sequence rests on the Mersenne Twister's
     `getrandbits` alone.
     """
-    if not isinstance(max_singulars, int):
-        raise TypeError("max_singulars must be an int")
-    if max_singulars < 1:
-        raise ValueError("max_singulars must be at least 1")
+    _int_at_least("max_singulars", max_singulars, 1)
     if not 0 <= invertible_probability <= 1:  # NaN fails too
         raise ValueError("invertible_probability must be in [0, 1]")
     top, den = entry_range.max_numerator, entry_range.max_denominator
@@ -201,24 +196,15 @@ class FuzzReport:
         return self.witness_failures + self.immortal_contradicted + self.search_misses
 
     def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "seed": self.seed,
-            "bound": self.bound,
-            "mortal": self.mortal,
-            "immortal": self.immortal,
-            "unknown": self.unknown,
-            "witness_failures": self.witness_failures,
-            "immortal_contradicted": self.immortal_contradicted,
-            "search_misses": self.search_misses,
-            "mortal_unconfirmed": self.mortal_unconfirmed,
-            "contradictions": self.contradictions,
-            "failing_seeds": list(self.failing_seeds),
-            "timings": {
-                "decide_seconds": round(self.decide_seconds, 3),
-                "search_seconds": round(self.search_seconds, 3),
-            },
-        }
+        """The `int` fields in their order, then `contradictions`,
+        `failing_seeds` and, as "timings", the `float` fields rounded.  A
+        field's `type` is its annotation's text: annotations are postponed."""
+        own = fields(self)
+        doc = {f.name: getattr(self, f.name) for f in own if f.type == "int"}
+        doc["contradictions"] = self.contradictions
+        doc["failing_seeds"] = list(self.failing_seeds)
+        doc["timings"] = {f.name: round(getattr(self, f.name), 3) for f in own if f.type == "float"}
+        return doc
 
 
 def fuzz_compare(count: int, seed: int, bound: int = 8, entry_range: EntryRange = EntryRange()) -> FuzzReport:
@@ -229,11 +215,11 @@ def fuzz_compare(count: int, seed: int, bound: int = 8, entry_range: EntryRange 
     instances are checked or in which order.  One generator serves them
     all: reseeded with a child seed, it is in the state of a fresh
     `random.Random(child_seed)`.
+
+    A non-`int` `count` or `bound` raises `TypeError`; below 1, `ValueError`.
     """
-    if count < 1:
-        raise ValueError("count must be positive")
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
+    _int_at_least("count", count, 1)
+    _int_at_least("bound", bound, 1)
     rng = random.Random(seed)
     child_seeds = [rng.getrandbits(63) for _ in range(count)]
     report = FuzzReport(count=count, seed=seed, bound=bound)

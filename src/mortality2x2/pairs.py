@@ -238,9 +238,11 @@ def solve_r_eq_x(cp: CharPoly, x: Rat) -> Optional[int]:
         raise ValueError("c must be nonzero (invertible matrix)")
     if cp.b == 0:
         raise ValueError("b = 0 makes V^2 scalar, which is periodic; handle via period_order")
-    if cp.b.denominator != 1 or cp.c.denominator != 1:
-        raise ValueError("b and c must be integers; scale V to an integer matrix first")
-    return _r_index(CharPoly(cp.b.numerator, cp.c.numerator), x.numerator, x.denominator)
+    if type(cp.b) is not int:  # `CharPoly` keeps b and c as ints only when both are
+        if cp.b.denominator != 1 or cp.c.denominator != 1:
+            raise ValueError("b and c must be integers; scale V to an integer matrix first")
+        cp = CharPoly(cp.b.numerator, cp.c.numerator)
+    return _r_index(cp, x.numerator, x.denominator)
 
 
 def _r_index(char: CharPoly, xn: int, xd: int) -> Optional[int]:

@@ -311,6 +311,46 @@ def test_fuzz_subcommand(capsys):
     assert report["mortal"] + report["immortal"] + report["unknown"] == 50
 
 
+FUZZ_REPORT = """{
+  "count": 10,
+  "seed": 3,
+  "bound": 2,
+  "mortal": 4,
+  "immortal": 6,
+  "unknown": 0,
+  "witness_failures": 0,
+  "immortal_contradicted": 0,
+  "search_misses": 0,
+  "mortal_unconfirmed": 2,
+  "contradictions": 0,
+  "failing_seeds": [],
+  "timings": {
+    "decide_seconds": 0,
+    "search_seconds": 0
+  }
+}
+"""
+
+
+def test_fuzz_json_text_is_golden(capsys):
+    # the exact bytes, key order included, with only the timing values zeroed
+    assert main(["fuzz", "--count", "10", "--seed", "3", "--oracle-bound", "2", "--json"]) == 0
+    out = re.sub(r'("(?:decide|search)_seconds": )[^,\n]+', r"\g<1>0", capsys.readouterr().out)
+    assert out == FUZZ_REPORT
+
+
+def test_fuzz_human_output(capsys):
+    # two of the four mortal witnesses are longer than the search bound
+    assert main(["fuzz", "--count", "10", "--seed", "3", "--oracle-bound", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "10 instances: 4 mortal, 6 immortal, 0 unknown\n"
+        "contradictions: 0\n"
+        "witnesses beyond the search bound (not contradictions): 2\n"
+    )
+    assert main(["fuzz", "--count", "10", "--seed", "1", "--oracle-bound", "2"]) == 0
+    assert "beyond the search bound" not in capsys.readouterr().out
+
+
 def test_malformed_inputs_exit_64(tmp_path, capsys):
     bad_entry = {"matrices": [[[1, 0.5], [0, 0]]]}
     path = write(tmp_path, bad_entry)
@@ -353,6 +393,34 @@ def test_malformed_inputs_exit_64(tmp_path, capsys):
             out, err = capsys.readouterr()
             assert out == ""
             assert str(path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "entry, problem",
+    [
+        (True, "boolean is not a rational entry"),
+        (None, "unsupported entry of type NoneType"),
+        ([1], "unsupported entry of type list"),
+        ({"p": 1}, "unsupported entry of type dict"),
+    ],
+    ids=["boolean", "null", "array", "object"],
+)
+def test_non_numeric_entries_exit_64(tmp_path, capsys, entry, problem):
+    # a JSON true is no 1 and a null no 0: each is refused by its position
+    path = write(tmp_path, {"matrices": [[[1, 0], [0, entry]]]})
+    assert main(["decide", path]) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: matrices[0][1][1]: {problem}\n"
+
+
+@pytest.mark.parametrize("doc", [[[[1, 0], [0, 0]]], "matrices", 3, None, {"matrix": [[[1, 0], [0, 0]]]}])
+def test_documents_without_a_matrices_key_exit_64(tmp_path, capsys, doc):
+    path = write(tmp_path, doc)
+    assert main(["decide", path]) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f'error: {path}: expected an object with a "matrices" key\n'
 
 
 @pytest.mark.parametrize("entry", ["1e1000000", "0.5", "1_000", " 1/2", "\u0663"])
@@ -413,6 +481,10 @@ def test_usage_errors_exit_64(capsys):
     capsys.readouterr()
     assert main([]) == 64
     capsys.readouterr()
+    assert main(["fuzz", "--count", "abc"]) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: argument --count: invalid int value: 'abc'\n"
 
 
 @pytest.mark.parametrize("error", [InternalError, MemoryError])

@@ -42,6 +42,9 @@ def test_instance_validation():
     inst = Instance([mat([[1, 0], [0, 0]]), Mat2.identity()])
     assert inst.singular_indices == (0,)
     assert inst.invertible_indices == (1,)
+    for member in ([[1, 0], [0, 0]], (1, 0, 0, 0), None):
+        with pytest.raises(TypeError, match="Mat2"):
+            Instance((Mat2.identity(), member))
 
 
 def test_decide_zero_member():
@@ -485,6 +488,22 @@ def test_decide_refuses_a_search_bound_below_one(bound):
     for members in ((n,), (n, v), (n, v, mat([[0, -1], [1, 0]]))):
         with pytest.raises(ValueError, match="^oracle_bound must be at least 1$"):
             decide(Instance(members), oracle_bound=bound)
+
+
+# diag(1, -1) and -I generate a group of four, so a search on this instance
+# runs out of rows whatever its bound, and a bound that slips through the
+# check makes a test fail rather than hang
+FINITE_GROUP = Instance.from_rows([[[1, 0], [0, 0]], [[1, 0], [0, -1]], [[-1, 0], [0, -1]]])
+
+
+@pytest.mark.parametrize("bound", [float("nan"), 2.5, Fraction(4), True], ids=repr)
+def test_decide_refuses_a_search_bound_that_is_not_an_int(bound):
+    # NaN compares false with 1 and with every word length: it used to pass
+    # the bound check and reach the search, which here came back as
+    # Unknown(search_bound=nan) and on an infinite group never ended
+    assert decide(FINITE_GROUP) == Unknown(8)
+    with pytest.raises(TypeError, match="^oracle_bound must be an int$"):
+        decide(FINITE_GROUP, oracle_bound=bound)
 
 
 def test_decide_multiplies_and_zero_tests_only_integer_forms(monkeypatch):

@@ -379,6 +379,9 @@ def test_random_instance_rejects_bad_arguments(name, value):
     [
         ("max_singulars", lambda: {"max_singulars": 4.0}),
         ("max_singulars", lambda: {"max_singulars": Fraction(4)}),
+        ("max_singulars", lambda: {"max_singulars": float("nan")}),
+        ("max_singulars", lambda: {"max_singulars": 2.5}),
+        ("max_singulars", lambda: {"max_singulars": True}),
         ("max_numerator", lambda: {"entry_range": EntryRange(3.0, 3)}),
         ("max_denominator", lambda: {"entry_range": EntryRange(3, 3.0)}),
         ("max_numerator", lambda: {"entry_range": EntryRange(max_numerator="3")}),
@@ -392,6 +395,30 @@ def test_random_instance_rejects_non_integer_bounds(name, make_kwargs):
     with pytest.raises(TypeError, match=name):
         random_instance(rng, **make_kwargs())
     assert rng.getstate() == state
+
+
+# diag(1, -1) and -I generate a group of four: a search on this instance runs
+# out of rows whatever its bound, so a bound that slips through the check
+# makes a test fail rather than hang
+FINITE_GROUP = Instance((mat([[1, 0], [0, 0]]), mat([[1, 0], [0, -1]]), mat([[-1, 0], [0, -1]])))
+BOUNDED_CALLS = {
+    "max_len": lambda v: search(FINITE_GROUP, v),
+    "count": lambda v: fuzz_compare(count=v, seed=1),
+    "bound": lambda v: fuzz_compare(count=1, seed=1, bound=v),
+    "max_numerator": lambda v: EntryRange(max_numerator=v),
+    "max_denominator": lambda v: EntryRange(max_denominator=v),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), 2.5, Fraction(4), True], ids=repr)
+@pytest.mark.parametrize("name", BOUNDED_CALLS)
+def test_counts_and_bounds_must_be_ints(monkeypatch, name, value):
+    # one rule for every count and bound, checked before any draw or search;
+    # NaN compares false with every limit, so a NaN bound once let the search
+    # on an infinite group run forever
+    monkeypatch.setattr(oracle, "random_instance", lambda rng, entry_range: FINITE_GROUP)
+    with pytest.raises(TypeError, match=f"^{name} must be an int$"):
+        BOUNDED_CALLS[name](value)
 
 
 @pytest.mark.parametrize("n", [*range(1, 71), 2**40 + 3])
