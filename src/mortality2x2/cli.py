@@ -7,7 +7,9 @@ Instance files are JSON documents of the form
 where each entry is a JSON integer or an exact "p/q" string, one that fully
 matches [+-]?[0-9]+(/[0-9]+)? with ASCII digits; any other string (an
 exponent, a decimal point, an underscore, a space, a non-ASCII digit) and
-floating point are rejected with exit 64.  Reports are printed as JSON with
+floating point are rejected with exit 64.  A file of JSON integers only
+becomes an `Instance` with its integer forms already set
+(`Instance.from_int_rows`).  Reports are printed as JSON with
 --json and are byte-stable for identical inputs apart from the timings
 block.
 
@@ -123,21 +125,25 @@ def load_instance(path: str) -> Instance:
     raw_matrices = doc["matrices"]
     if not isinstance(raw_matrices, list) or not raw_matrices:
         raise CliError(f"{path}: \"matrices\" must be a nonempty list")
-    matrices = []
+    # A matrix of four JSON integers is kept as read; any other goes entry by
+    # entry through _parse_entry to a Mat2.  JSON arrays are lists, the one
+    # kind of sequence a pattern below matches.
+    members: list = []
     for mi, raw_matrix in enumerate(raw_matrices):
-        if not (
-            isinstance(raw_matrix, list)
-            and len(raw_matrix) == 2
-            and all(isinstance(row, list) and len(row) == 2 for row in raw_matrix)
-        ):
-            raise CliError(f"matrices[{mi}]: expected a 2x2 array")
-        entries = [
-            _parse_entry(raw, mi, r, c)
-            for r, row in enumerate(raw_matrix)
-            for c, raw in enumerate(row)
-        ]
-        matrices.append(Mat2(*entries))
-    return Instance(tuple(matrices))
+        match raw_matrix:
+            case [[e00, e01], [e10, e11]] if type(e00) is type(e01) is type(e10) is type(e11) is int:
+                members.append(raw_matrix)  # `type` is never int for a bool
+            case [[_, _], [_, _]]:
+                members.append(Mat2(*(
+                    _parse_entry(raw, mi, r, c)
+                    for r, row in enumerate(raw_matrix)
+                    for c, raw in enumerate(row)
+                )))
+            case _:
+                raise CliError(f"matrices[{mi}]: expected a 2x2 array")
+    if not any(isinstance(m, Mat2) for m in members):
+        return Instance.from_int_rows(members)
+    return Instance(tuple(m if isinstance(m, Mat2) else Mat2.from_rows(m) for m in members))
 
 
 def _verdict_report(verdict: Verdict, timings: dict) -> dict:

@@ -2,7 +2,8 @@
 
 Complete whenever the set contains at most one invertible matrix or no
 singular one.  Each member's integer form and determinant
-(`linalg.int_form`) are taken once per `Instance`, as `Instance.forms`, and
+(`linalg.int_form`) are taken once per `Instance`, as `Instance.forms`, or
+set from the entries by `Instance.from_int_rows` when all are ints, and
 `decide`, the oracle's `search` and `verify_witness` share them.  The two
 checkers, `search` and `verify_witness`, run on `linalg` alone, no code of
 the pair engine `pairs`.  Every check below runs on the forms:
@@ -21,7 +22,9 @@ the pair engine `pairs`.  Every check below runs on the forms:
   polynomial with the seed, and periodicity) is done once per call, each
   member's rank check and factorization into primitive integer u, w with
   V u (`endpoint`) once per member, and only the two integer dot products,
-  the scalar solve on ints and any witness check once per pair;
+  the scalar solve on ints and any witness check once per pair, whose
+  hoisted inputs travel as a plain tuple: no object of the package is
+  built per pair;
 * with two or more invertible members and a singular one the problem is
   out of scope; a bounded product search still runs and may prove
   mortality, otherwise the verdict is Unknown.
@@ -34,12 +37,13 @@ multiples, cross-splitting two rank-1 factors), each preserving mortality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations
 from typing import Iterable, Optional, Union
 
 from .linalg import ZERO, IntForm, Mat2, Vec2, _int_at_least, int_form, int_mat_mul, outer, rank_one_factors
-from .pairs import Prepared, Witness, analyze_inner, decide_pair, endpoint
+from .pairs import Witness, analyze_inner, decide_pair, endpoint
 
 Word = tuple[int, ...]
 
@@ -59,7 +63,8 @@ class Instance:
 
     Duplicates are retained so witness words can name input positions
     unambiguously.  `forms`, each member's `int_form`, is taken on first use
-    and kept; it takes no part in equality, hashing or `repr`.
+    and kept, or set at once by `from_int_rows`; it takes no part in
+    equality, hashing or `repr`.
     """
 
     matrices: tuple[Mat2, ...]
@@ -76,6 +81,20 @@ class Instance:
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Iterable[int]]]) -> Instance:
         return cls(tuple(Mat2.from_rows(r) for r in rows))
+
+    @classmethod
+    def from_int_rows(cls, rows: Iterable[Iterable[Iterable[int]]]) -> Instance:
+        """`from_rows` for `int` entries, with `forms` set from those ints: the
+        lcm of their denominators is 1, so each is its member's `int_form`.
+        Any other entry, `bool` included, raises `TypeError`."""
+        ints = [(a, b, c, d) for (a, b), (c, d) in rows]
+        for a, b, c, d in ints:
+            if not type(a) is type(b) is type(c) is type(d) is int:
+                raise TypeError("from_int_rows takes int entries only")
+        # Fractions made here: `Mat2` would first miss an int on the slow Fraction ABC
+        instance = cls(tuple(Mat2(*map(Fraction, a)) for a in ints))
+        instance.__dict__["forms"] = tuple((a, a[0] * a[3] - a[1] * a[2]) for a in ints)
+        return instance
 
     @cached_property
     def forms(self) -> tuple[IntForm, ...]:
@@ -164,7 +183,7 @@ def decide(instance: Instance, oracle_bound: int = 8) -> Verdict:
     ends = [(j, mats[j], endpoint(forms[j], inner.v)) for j in singulars]
     for i, n_i, end_i in ends:
         for j, n_j, end_j in ends:
-            verdict = decide_pair(n_i, v, n_j, Prepared(inner, end_i, end_j))
+            verdict = decide_pair(n_i, v, n_j, (inner, end_i, end_j))
             if isinstance(verdict, Witness):
                 word = (i,) + (v_index,) * verdict.k + (j,)
                 return Mortal(word, MORTAL_PAIR_EXPONENT, exponent_witness=(i, verdict.k, j))

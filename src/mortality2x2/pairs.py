@@ -37,9 +37,10 @@ primitive column u and primitive row w from `linalg.rank_one_factors`, the
 package's one rank-1 factorization, and adds V u.  Per pair there remain only
 `pair_problem`'s two ints s0 = w_l . u_r and s1 = w_l . (V u_r) (with b and
 c they fix s), the scan or the scalar solve, and the witness check, so
-`decider.decide` builds the rest once and passes it in; a bare `decide_pair`
-takes the three forms itself and then runs the same path.  The scalar solve
-runs on ints: x = -s1/s0 is reduced by one gcd and handed, as numerator and
+`decider.decide` builds the rest once and passes it in as a plain tuple,
+`Prepared`, with no constructor run per pair; a bare `decide_pair` takes the
+three forms itself and then runs the same path.  The scalar solve runs on
+ints: x = -s1/s0 is reduced by one gcd and handed, as numerator and
 positive denominator, to `_r_index`, the integer core behind the public
 `solve_r_eq_x`, whose guards V's analysis already meets.  A refusal is one
 of three `NoExponent` values built once, with the module.  `decide_pair`
@@ -59,7 +60,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .linalg import (
     CharPoly, IntForm, IntMat, IntVec, InternalError, Mat2, Rat, canon_int_mat, int_form,
@@ -156,12 +157,9 @@ def endpoint(form: IntForm, v: IntMat) -> Endpoint:
     return Endpoint((u0, u1), w, (v[0] * u0 + v[1] * u1, v[2] * u0 + v[3] * u1))
 
 
-class Prepared(NamedTuple):
-    """The hoisted inputs of one pair: V's analysis and both endpoints."""
-
-    inner: InnerAnalysis
-    left: Endpoint
-    right: Endpoint
+# The hoisted inputs of one pair, (inner, left, right): V's analysis and both
+# endpoints.  A plain tuple, so a caller builds one with no constructor call.
+Prepared = tuple[InnerAnalysis, Endpoint, Endpoint]
 
 
 def pair_problem(prepared: Prepared) -> tuple[int, int]:
@@ -323,9 +321,9 @@ def decide_pair(
     """
     if prepared is None:
         inner = analyze_inner(int_form(v))
-        prepared = Prepared(inner, *(endpoint(int_form(n), inner.v) for n in (n_left, n_right)))
+        prepared = (inner, *(endpoint(int_form(n), inner.v) for n in (n_left, n_right)))
     s0, s1 = pair_problem(prepared)
-    inner = prepared.inner
+    inner = prepared[0]
     if s0 == 0:
         k = 0
     elif inner.order is not None:

@@ -1,7 +1,9 @@
 """Command-line interface: file ingestion, verdict reports, exit codes."""
 
+import contextlib
 import json
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -12,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mortality2x2 import Immortal, InternalError, Mortal, Unknown, cli
+from mortality2x2 import Immortal, Instance, InternalError, Mortal, Unknown, cli, linalg
 from mortality2x2.cli import main
+from mortality2x2.linalg import int_form
 from mortality2x2.oracle import FuzzReport
 
 PLANTED = {"matrices": [[[7, -8], [0, 0]], [[2, 0], [1, 1]]]}
@@ -474,6 +477,85 @@ def test_entry_grammar_keeps_signs_leading_zeros_and_json_integers(tmp_path, cap
         assert main(["oracle", path]) == 0
         capsys.readouterr()
     assert reports[0] == reports[1] and reports[0]["witness"] == [0, 1, 0]
+
+
+@contextlib.contextmanager
+def _no_digit_limit():
+    """Lift the interpreter's int-string limit, where it has one, inside the
+    block: huge entries are written by json.dumps and compared by repr."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _loaded_instances(monkeypatch):
+    """The instances `load_instance` hands to the subcommands, in order."""
+    loaded = []
+    real = cli.load_instance
+    monkeypatch.setattr(cli, "load_instance", lambda path: loaded.append(real(path)) or loaded[-1])
+    return loaded
+
+
+def _to_int_mat_calls(monkeypatch):
+    calls = []
+    real = linalg.to_int_mat
+    monkeypatch.setattr(linalg, "to_int_mat", lambda m: calls.append(m) or real(m))
+    return calls
+
+
+def test_integer_files_load_straight_into_forms(tmp_path, capsys, monkeypatch):
+    # all-integer files, with zeros, negatives and entries past the 4,300-digit
+    # int-string limit, load as Instance.from_rows builds them, with
+    # Instance.forms already set to each member's int_form
+    rng = random.Random(27)
+    loaded = _loaded_instances(monkeypatch)
+    to_int_mat = _to_int_mat_calls(monkeypatch)
+    huge = 10 ** 5000
+    for trial in range(30):
+        rows = [
+            [[rng.choice((0, rng.randint(-9, 9), rng.randint(-huge, huge))) for _ in range(2)] for _ in range(2)]
+            for _ in range(rng.randint(1, 4))
+        ]
+        path = tmp_path / f"ints-{trial}.json"
+        with _no_digit_limit():
+            path.write_text(json.dumps({"matrices": rows}))
+        to_int_mat.clear()
+        assert main(["verify", str(path), "0"]) in (0, 1)
+        capsys.readouterr()
+        assert not to_int_mat
+        instance, fresh = loaded[-1], Instance.from_rows(rows)
+        assert instance.forms == tuple(int_form(m) for m in instance.matrices)
+        assert instance == fresh and hash(instance) == hash(fresh)
+        fresh.forms
+        assert pickle.dumps(instance) == pickle.dumps(fresh)
+        assert pickle.loads(pickle.dumps(instance)) == fresh
+        with _no_digit_limit():
+            assert repr(instance) == repr(fresh)
+
+
+def test_integer_and_string_entries_mixed_take_the_fraction_path(tmp_path, capsys, monkeypatch):
+    # one "p/q" string anywhere sends the file entry by entry through
+    # Fraction; the verdict and report are those of the all-integer file
+    loaded = _loaded_instances(monkeypatch)
+    to_int_mat = _to_int_mat_calls(monkeypatch)
+    mixed = {"matrices": [[[7, "-8/1"], [0, 0]], [[2, 0], [1, 1]]]}
+    reports, conversions = [], []
+    for doc, name in ((PLANTED, "ints.json"), (mixed, "mixed.json")):
+        assert main(["decide", write(tmp_path, doc, name), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        del report["timings"]
+        reports.append(report)
+        conversions.append(len(to_int_mat))
+    assert reports[0] == reports[1] and reports[0]["witness"] == [0, 1, 1, 1, 0]
+    assert loaded[0] == loaded[1] == Instance.from_rows(PLANTED["matrices"])
+    assert loaded[0].forms == loaded[1].forms
+    # none for the integer file; then each member once, for Instance.forms
+    assert conversions == [0, 2]
 
 
 def test_usage_errors_exit_64(capsys):

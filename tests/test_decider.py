@@ -3,13 +3,15 @@
 import pickle
 import random
 import sys
+from collections import Counter
+from dataclasses import is_dataclass
 from fractions import Fraction
 
 import pytest
 
 from mortality2x2 import Immortal, Instance, Mat2, Mortal, RankError, Unknown, decide, search, verify_witness
 from mortality2x2.linalg import Vec2, int_form, is_scalar_multiple, mat_pow, outer, rank_one_factors
-from mortality2x2.pairs import Prepared, Witness, analyze_inner, decide_pair, endpoint
+from mortality2x2.pairs import Witness, analyze_inner, decide_pair, endpoint
 from mortality2x2.decider import (
     IMMORTAL_ALL_INVERTIBLE,
     IMMORTAL_NO_ZERO_PAIR,
@@ -45,6 +47,19 @@ def test_instance_validation():
     for member in ([[1, 0], [0, 0]], (1, 0, 0, 0), None):
         with pytest.raises(TypeError, match="Mat2"):
             Instance((Mat2.identity(), member))
+
+
+def test_from_int_rows_sets_the_forms_of_from_rows():
+    rows = [[[2, -4], [0, 0]], [[0, 0], [0, 0]], [[3, 1], [-7, 10 ** 40]]]
+    inst, fresh = Instance.from_int_rows(rows), Instance.from_rows(rows)
+    assert inst == fresh and repr(inst) == repr(fresh)
+    assert "forms" in vars(inst) and "forms" not in vars(fresh)
+    assert inst.forms == fresh.forms
+    with pytest.raises(ValueError):
+        Instance.from_int_rows([])
+    for entry in (True, Fraction(1), 1.0, "1"):
+        with pytest.raises(TypeError, match="^from_int_rows takes int entries only$"):
+            Instance.from_int_rows([[[1, 0], [0, 0]], [[1, 0], [0, entry]]])
 
 
 def test_decide_zero_member():
@@ -387,7 +402,7 @@ def test_prepared_pairs_match_bare_pairs(name):
         for left, n_left in zip(ends, singulars):
             for right, n_right in zip(ends, singulars):
                 bare = decide_pair(n_left, v, n_right)
-                assert decide_pair(n_left, v, n_right, Prepared(inner, left, right)) == bare
+                assert decide_pair(n_left, v, n_right, (inner, left, right)) == bare
 
 
 def test_decide_hoists_the_per_v_and_per_member_work(monkeypatch):
@@ -407,6 +422,7 @@ def test_decide_hoists_the_per_v_and_per_member_work(monkeypatch):
         ("spectral", "power_similar_identity"),
         ("spectral", "period_order"),
         ("pairs", "decide_pair"),
+        ("pairs", "pair_problem"),
     ):
         original = getattr(sys.modules["mortality2x2." + owner], fn_name)
         calls[fn_name] = 0
@@ -419,7 +435,10 @@ def test_decide_hoists_the_per_v_and_per_member_work(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
-    assert decide(inst) == Immortal(IMMORTAL_PAIRS_REFUSED)
+    built = _count_constructions(monkeypatch)
+    verdict = decide(inst)
+    constructed = dict(built)
+    assert verdict == Immortal(IMMORTAL_PAIRS_REFUSED)
     assert calls == {
         "char_poly": 0,  # V's characteristic polynomial is read off its integer form
         "canon_int_mat": 1 + 2 * 6,  # once for V, twice per member (u and w)
@@ -427,7 +446,34 @@ def test_decide_hoists_the_per_v_and_per_member_work(monkeypatch):
         "power_similar_identity": 0,
         "period_order": 1,
         "decide_pair": 36,
+        "pair_problem": 36,  # s0 and s1 of each pair
     }
+    # the package's objects are built per V and per member, none per pair:
+    # a pair's hoisted inputs travel as a plain tuple, and each refusal is a
+    # shared value
+    assert constructed == {"InnerAnalysis": 1, "CharPoly": 1, "Endpoint": 6, "Immortal": 1}
+
+
+def _count_constructions(monkeypatch):
+    """Count, by class name, the instances built of every value class of the
+    package, dataclass or NamedTuple, by hooking its own constructor."""
+    built = Counter()
+    for module_name, module in list(sys.modules.items()):
+        if not module_name.startswith("mortality2x2"):
+            continue
+        for cls in vars(module).values():
+            if not (isinstance(cls, type) and cls.__module__ == module_name
+                    and (is_dataclass(cls) or issubclass(cls, tuple))):
+                continue
+            method = "__init__" if is_dataclass(cls) else "__new__"
+            real = getattr(cls, method)
+
+            def counted(*args, _real=real, _name=cls.__name__, **kwargs):
+                built[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(cls, method, counted if is_dataclass(cls) else staticmethod(counted))
+    return built
 
 
 def test_decide_takes_each_integer_form_and_determinant_once(monkeypatch):

@@ -17,7 +17,6 @@ from mortality2x2.linalg import (
 )
 from mortality2x2.pairs import (
     NoExponent,
-    Prepared,
     RefusalReason,
     Witness,
     analyze_inner,
@@ -51,7 +50,7 @@ def mat(rows):
 
 def _prepared(n_left, v, n_right):
     inner = analyze_inner(int_form(v))
-    return Prepared(inner, endpoint(int_form(n_left), inner.v), endpoint(int_form(n_right), inner.v))
+    return inner, endpoint(int_form(n_left), inner.v), endpoint(int_form(n_right), inner.v)
 
 
 def _track(b, c, s0, s1, count):
@@ -352,7 +351,7 @@ def test_scalar_track_matches_matrix_products():
         nr = rand_rank_one(rng, 3, 3)
         v = rand_invertible_int(rng, -3, 3)
         prepared = _prepared(nl, v, nr)
-        cp = prepared.inner.char
+        cp = prepared[0].char
         zeros = scan_pair_zeros(nl, v, nr, 30)
         for k, s in enumerate(_track(cp.b, cp.c, *pair_problem(prepared), 31)):
             assert (s == 0) == (k in zeros)
@@ -641,7 +640,7 @@ def test_witness_check_matches_powering():
             if nl == nr:
                 continue
             prepared = _prepared(nl, v, nr)
-            assert _witness_regime(prepared.inner) == name
+            assert _witness_regime(prepared[0]) == name
             rational = "integer V" if trial % 2 == 0 else "rational V"
             for k in range(13):
                 zero = (nl * mat_pow(v, k) * nr).is_zero()
@@ -671,7 +670,7 @@ def _regime(inner):
 def _reference_pair(prepared):
     """The pair verdict from the public `solve_r_eq_x` on x = Fraction(-s1, s0)
     and a scan of one period, with freshly built refusals."""
-    inner = prepared.inner
+    inner = prepared[0]
     s0, s1 = pair_problem(prepared)
     if s0 == 0:
         return Witness(0)
@@ -712,7 +711,7 @@ def test_decide_pair_on_ints_matches_the_public_solver():
                         if isinstance(verdict, NoExponent):
                             assert verdict is shared[verdict.reason]
                         s0 = pair_problem(prepared)[0]
-                        regime = _regime(prepared.inner)
+                        regime = _regime(prepared[0])
                         seen["pairs"] += 1
                         seen[regime, "s0 < 0" if s0 < 0 else "s0 > 0" if s0 else "s0 = 0"] += 1
                         seen[regime, type(verdict).__name__ if s0 else "k = 0"] += 1
