@@ -37,7 +37,13 @@ class InternalError(AssertionError):
 def _rat(x: RatLike) -> Rat:
     """x as a `Fraction`.  Only an `int` or a `Fraction` is taken: a float
     would turn into its binary fraction (0.1 into 3602879701896397/2^55),
-    so it and anything else raise `TypeError`."""
+    so it and anything else raise `TypeError`.  The exact types are tested
+    first: a miss of `isinstance(x, Fraction)` runs the `numbers` ABC check
+    in Python, so an `int` would pay it on every entry."""
+    if type(x) is Fraction:
+        return x
+    if type(x) is int:
+        return Fraction(x)
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):

@@ -11,7 +11,7 @@ import pytest
 
 from mortality2x2 import Immortal, Instance, Mat2, Mortal, RankError, Unknown, decide, search, verify_witness
 from mortality2x2.linalg import Vec2, int_form, is_scalar_multiple, mat_pow, outer, rank_one_factors
-from mortality2x2.pairs import Witness, analyze_inner, decide_pair, endpoint
+from mortality2x2.pairs import SIEVE_PRIMES, Witness, analyze_inner, decide_pair, endpoint
 from mortality2x2.decider import (
     IMMORTAL_ALL_INVERTIBLE,
     IMMORTAL_NO_ZERO_PAIR,
@@ -413,6 +413,7 @@ def test_decide_hoists_the_per_v_and_per_member_work(monkeypatch):
         inst = Instance((*(rand_rank_one(rng, 3, 3) for _ in range(6)), v))
         if decide(inst) == Immortal(IMMORTAL_PAIRS_REFUSED):
             break
+    survivors = _sieve_survivors(inst)
     calls = {}
     modules = [m for name, m in sys.modules.items() if name.startswith("mortality2x2")]
     for owner, fn_name in (
@@ -446,12 +447,40 @@ def test_decide_hoists_the_per_v_and_per_member_work(monkeypatch):
         "power_similar_identity": 0,
         "period_order": 1,
         "decide_pair": 36,
-        "pair_problem": 36,  # s0 and s1 of each pair
+        # s0 and s1 of each pair the orbit sieve lets through (14 of the 36 here)
+        "pair_problem": survivors,
     }
+    assert survivors < 36
     # the package's objects are built per V and per member, none per pair:
     # a pair's hoisted inputs travel as a plain tuple, and each refusal is a
     # shared value
     assert constructed == {"InnerAnalysis": 1, "CharPoly": 1, "Endpoint": 6, "Immortal": 1}
+
+
+def _sieve_survivors(instance):
+    """The ordered pairs of singular members (N_i, N_j) whose ends share an
+    orbit modulo every prime of SIEVE_PRIMES not dividing det V: with
+    N_i ~ u_i w_i^T, some w_i . V^k u_j with 0 <= k <= q is 0 mod q, since
+    an orbit of the q + 1 points of P^1(F_q) is no longer than that."""
+    (v_index,) = instance.invertible_indices
+    v, det = int_form(instance.matrices[v_index])
+    factors = [rank_one_factors(instance.forms[i]) for i in instance.singular_indices]
+    primes = [q for q in SIEVE_PRIMES if det % q]
+    survivors = 0
+    for _, w in factors:
+        for u, _ in factors:
+            survivors += all(_meets_mod(v, q, u, w) for q in primes)
+    return survivors
+
+
+def _meets_mod(v, q, u, w):
+    """Whether w . V^k u is 0 mod q for some 0 <= k <= q."""
+    x = u
+    for _ in range(q + 1):
+        if (w[0] * x[0] + w[1] * x[1]) % q == 0:
+            return True
+        x = ((v[0] * x[0] + v[1] * x[1]) % q, (v[2] * x[0] + v[3] * x[1]) % q)
+    return False
 
 
 def _count_constructions(monkeypatch):

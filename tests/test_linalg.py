@@ -115,6 +115,21 @@ def test_only_ints_and_fractions_are_rationals(bad):
     assert Mat2(True, 0, 0, 1) == Mat2.identity()  # bool is an int
 
 
+def test_subclasses_of_int_and_fraction_are_rationals():
+    # past the exact-type fast path, isinstance still takes subclasses as before
+    class Count(int):
+        pass
+
+    class Ratio(Fraction):
+        pass
+
+    half = Ratio(1, 2)
+    assert _rat(half) is half
+    for x in (True, False, Count(5)):
+        assert type(_rat(x)) is Fraction and _rat(x) == int(x)
+    assert Mat2(Count(2), half, False, 1).entries() == (2, Fraction(1, 2), 0, 1)
+
+
 def test_is_scalar_multiple_examples():
     assert is_scalar_multiple(-Mat2.identity(), Mat2.identity()) == -1
     assert is_scalar_multiple(mat([[2, 4], [6, 8]]), mat([[1, 2], [3, 4]])) == 2
