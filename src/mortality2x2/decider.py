@@ -16,23 +16,28 @@ the pair engine `pairs`.  Every check below runs on the forms:
   ordered pair of forms is multiplied out;
 * with exactly one invertible member V, every ordered pair of singular
   members (N_i, N_j) is reduced to the exponent question
-  N_i V^k N_j = 0 and handed to `decide_pair`.  The work is hoisted out of
-  the n^2 pair loop: V's analysis (`analyze_inner`: the invertibility
+  N_i V^k N_j = 0.  V's analysis (`analyze_inner`: the invertibility
   check, V's canonical primitive integer form, its characteristic
   polynomial with the seed, and periodicity) is done once per call, each
   member's rank check and factorization into primitive integer u, w with
   V u (`endpoint`) once per member, and only the two integer dot products,
-  the scalar solve on ints and any witness check once per pair, whose
-  hoisted inputs travel as a plain tuple: no object of the package is
-  built per pair.  From `SIEVE_MIN_SINGULARS` = 5 singular members on,
-  V's `orbit_sieve` is built too, and each endpoint carries its orbit
-  keys, so `decide_pair` refuses a pair whose ends lie in different orbits
-  of V modulo a small prime with one integer compare (see `pairs`).  The
-  threshold is the measured break-even on unbiased one-invertible draws
-  (`random_instance(max_singulars=12, invertible_probability=1.0)` under
-  `EntryRange()` and `EntryRange(7, 5)`, 6,000 draws, best of 7, two runs
-  on Python 3.11): with the sieve, `decide` took 5.0 us longer at n = 4,
-  0.4-1.8 us less at n = 5 and 18-19 us less, of 81-85 us, at n = 12;
+  the scalar solve on ints and any witness check once per `decide_pair`
+  call, whose hoisted inputs travel as a plain tuple: no object of the
+  package is built per pair.  The right ends are put in buckets by
+  `Endpoint.right_key`, in singular order, and each left end, in order,
+  goes to `decide_pair` with the bucket of its `left_key` alone, so the
+  pairs run in row-major order and the first witness is that of a loop
+  over all n^2 pairs.  From `SIEVE_MIN_SINGULARS` = 5 singular members on,
+  the keys come from V's `orbit_sieve`, and a pair whose keys differ lies
+  in different orbits of V modulo a small prime and has no exponent (see
+  `pairs`): the pair phase makes O(n + survivors) calls, not n^2.  Below
+  it every key is None and all ends share one bucket.  The threshold is
+  the measured break-even on unbiased one-invertible draws
+  (`random_instance(max_singulars=12, invertible_probability=1.0)`, 3,000
+  under each of `EntryRange()` and `EntryRange(7, 5)`, best of 7, two runs
+  on Python 3.11): with the sieve and the join, `decide` took 2.5-3.3 us
+  longer at n = 4, and 0.9-1.7 us less at n = 5, 2.7-3.8 us at n = 6,
+  10.2 us at n = 8 and 22-23 us, of 78-80 us, at n = 12;
 * with two or more invertible members and a singular one the problem is
   out of scope; a bounded product search still runs and may prove
   mortality, otherwise the verdict is Unknown.
@@ -153,9 +158,9 @@ def decide(instance: Instance, oracle_bound: int = 8) -> Verdict:
     Ties are broken deterministically: the first witness in (pair index
     order, exponent) order wins, and the pair decider itself returns
     minimal exponents.  With one invertible member, each ordered pair of
-    singular members goes to `decide_pair` once, in row-major order.  No
-    verdict, endpoint or pair result outlives a call; an `Instance` keeps
-    only its own members' integer forms (`Instance.forms`).
+    singular members whose orbit keys agree goes to `decide_pair` once, in
+    row-major order.  No verdict, endpoint or pair result outlives a call;
+    an `Instance` keeps only its own members' integer forms.
 
     A non-`int` `oracle_bound` raises `TypeError`; below 1, `ValueError`.
     """
@@ -192,8 +197,11 @@ def decide(instance: Instance, oracle_bound: int = 8) -> Verdict:
     inner = analyze_inner(forms[v_index])
     sieve = orbit_sieve(inner) if len(singulars) >= SIEVE_MIN_SINGULARS else None
     ends = [(j, mats[j], endpoint(forms[j], inner.v, sieve)) for j in singulars]
+    buckets: dict[Optional[int], list] = {}
+    for end in ends:
+        buckets.setdefault(end[2].right_key, []).append(end)
     for i, n_i, end_i in ends:
-        for j, n_j, end_j in ends:
+        for j, n_j, end_j in buckets.get(end_i.left_key, ()):
             verdict = decide_pair(n_i, v, n_j, (inner, end_i, end_j))
             if isinstance(verdict, Witness):
                 word = (i,) + (v_index,) * verdict.k + (j,)

@@ -50,8 +50,8 @@ of `spectral.quad_pow`, O(log k) integer steps, and tests
 w_l . (alpha (V u_r) + beta u_r) == 0 on the pair's endpoints, with no
 matrix power and no `Fraction`.
 
-Most refusals need none of that: a modular orbit sieve refuses them with
-one integer compare.  Take a prime q that does not divide det V (on V's
+Most refusals need none of that: a modular orbit sieve refuses them
+without a call.  Take a prime q that does not divide det V (on V's
 canonical form, so V mod q is invertible and permutes the q + 1 points of
 P^1(F_q)).  u_r and perp(w_l) are primitive, so neither is 0 mod q.  If
 N_l V^k N_r = 0 then V^k u_r is an integer multiple of the primitive
@@ -62,12 +62,11 @@ and that refusal is exact.  `orbit_sieve` labels each point by the least
 point of its orbit (`orbit_labels`), once per V, for each prime of
 `SIEVE_PRIMES` = 2 .. 13 not dividing det V, through a static per-prime
 table from (x mod q, y mod q) to a point; `endpoint` folds an end's labels
-into one int per side, `left_key` from perp(w) and `right_key` from u, and
-`decide_pair` compares the two keys before `pair_problem`: different keys
-return the pair's `InnerAnalysis.refusal`, the shared `NoExponent` that the
-exact path gives in V's regime, and equal keys take the exact path
-unchanged.  The labels cost about 11 us per V and each key about 0.4 us
-(Python 3.11), so `decider.decide` builds them only from
+into one int per side, `left_key` from perp(w) and `right_key` from u.
+`decider.decide` joins left ends to right ends on equal keys and calls
+`decide_pair` only for those pairs, so `decide_pair` compares no keys and
+always takes the exact path.  The labels cost about 11 us per V and each
+key about 0.4 us (Python 3.11), so `decide` builds them only from
 `SIEVE_MIN_SINGULARS` singular members on; a bare `decide_pair` builds no
 keys.
 
@@ -229,7 +228,8 @@ class Endpoint(NamedTuple):
     entry positive, V u on the canonical V.  The left end of a pair uses the
     row factor w, the right end u and V u, in the scalar track and in the
     witness check alike.  With an `orbit_sieve`, `left_key` folds the orbit
-    labels of perp(w) and `right_key` those of u; else both are None.  A
+    labels of perp(w) and `right_key` those of u; else both are None.
+    `decider.decide` pairs a left end only with right ends of equal key.  A
     `NamedTuple`, which is built in about half the time of a frozen
     dataclass of these five fields.
     """
@@ -413,9 +413,8 @@ def decide_pair(
     x = -s1/s0, reduced by one gcd of the two ints (its integer core
     `_r_index`, as `inner` already meets the guards), whose refusal is
     `SINGLE_CANDIDATE_FAILED` at d = 0, else `RATIO_EQUATION_UNSATISFIABLE`.
-    Before all that, when both ends carry `orbit_sieve` keys and the left
-    end's `left_key` differs from the right end's `right_key`, the pair has
-    no exponent and gets the refusal its V's regime gives above.
+    The endpoints' orbit keys are not read: `decider.decide` joins on them
+    and calls this only for the pairs whose keys agree.
     A refusal is one of three shared `NoExponent` values.  Every witness
     exponent passes the exact check of `is_witness`, on the endpoints'
     factors and V's integer b and c.
@@ -423,9 +422,7 @@ def decide_pair(
     if prepared is None:
         inner = analyze_inner(int_form(v))
         prepared = (inner, *(endpoint(int_form(n), inner.v) for n in (n_left, n_right)))
-    inner, left, right = prepared
-    if left.left_key != right.right_key and left.left_key is not None and right.right_key is not None:
-        return inner.refusal  # the ends lie in different orbits of V mod a sieve prime
+    inner = prepared[0]
     s0, s1 = pair_problem(prepared)
     if s0 == 0:
         k = 0

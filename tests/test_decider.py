@@ -11,7 +11,7 @@ import pytest
 
 from mortality2x2 import Immortal, Instance, Mat2, Mortal, RankError, Unknown, decide, search, verify_witness
 from mortality2x2.linalg import Vec2, int_form, is_scalar_multiple, mat_pow, outer, rank_one_factors
-from mortality2x2.pairs import SIEVE_PRIMES, Witness, analyze_inner, decide_pair, endpoint
+from mortality2x2.pairs import SIEVE_PRIMES, Witness, analyze_inner, decide_pair, endpoint, orbit_sieve
 from mortality2x2.decider import (
     IMMORTAL_ALL_INVERTIBLE,
     IMMORTAL_NO_ZERO_PAIR,
@@ -19,6 +19,7 @@ from mortality2x2.decider import (
     MORTAL_PAIR_EXPONENT,
     MORTAL_TWO_STEP,
     MORTAL_ZERO_MEMBER,
+    SIEVE_MIN_SINGULARS,
     cross_split,
     pad_singular,
     to_two_singular,
@@ -392,6 +393,35 @@ def test_decide_matches_a_loop_over_bare_decide_pair(name):
     assert LOOP_REGIMES[name][1] == 1 or max(k or 0 for k in exponents) >= 1
 
 
+def test_the_join_on_orbit_keys_keeps_row_major_order():
+    # Five members u_i w_i^T and V with complex eigenvalues at position 2.
+    # Row 0 has witnesses at j = 1, 3 and 4 (k = 4, 1, 2), whose right ends
+    # share one orbit key, and the pair (1, 0) is a witness at k = 1: a join
+    # that took a bucket's right ends in another order, or the pairs column
+    # by column, would return another witness.
+    v = mat([[1, -2], [1, 0]])
+    us = [(1, 2), (2, 1), (1, 1), (1, 0), (3, -1)]
+    ws = [(1, 1), (1, 3), (1, -3), (2, 5), (1, 4)]
+    members = [outer(Vec2(*u), Vec2(*w)) for u, w in zip(us, ws)]
+    inst = Instance((*members[:2], v, *members[2:]))
+    singulars = inst.singular_indices
+    assert len(singulars) >= SIEVE_MIN_SINGULARS
+    witnesses = [
+        (i, j) for i in singulars for j in singulars
+        if isinstance(decide_pair(inst.matrices[i], v, inst.matrices[j]), Witness)
+    ]
+    first_row = [j for i, j in witnesses if i == witnesses[0][0]]
+    assert len(first_row) >= 2
+    assert min(witnesses, key=lambda pair: pair[::-1]) != witnesses[0]
+    inner = analyze_inner(int_form(v))
+    sieve = orbit_sieve(inner)
+    keys = {endpoint(inst.forms[j], inner.v, sieve).right_key for j in first_row}
+    assert len(keys) == 1
+    verdict = decide(inst)
+    assert verdict == _reference_decide(inst)
+    assert verdict.exponent_witness == (0, 4, 1)
+
+
 @pytest.mark.parametrize("name", sorted(LOOP_REGIMES))
 def test_prepared_pairs_match_bare_pairs(name):
     v, _ = LOOP_REGIMES[name]
@@ -446,8 +476,9 @@ def test_decide_hoists_the_per_v_and_per_member_work(monkeypatch):
         "endpoint": 6,
         "power_similar_identity": 0,
         "period_order": 1,
-        "decide_pair": 36,
-        # s0 and s1 of each pair the orbit sieve lets through (14 of the 36 here)
+        # the join on orbit keys calls decide_pair only on the pairs the
+        # orbit sieve lets through (14 of the 36 here), and each takes s0 and s1
+        "decide_pair": survivors,
         "pair_problem": survivors,
     }
     assert survivors < 36
