@@ -9,9 +9,11 @@ matches [+-]?[0-9]+(/[0-9]+)? with ASCII digits; any other string (an
 exponent, a decimal point, an underscore, a space, a non-ASCII digit) and
 floating point are rejected with exit 64.  A file of JSON integers only
 becomes an `Instance` with its integer forms already set
-(`Instance.from_int_rows`).  Reports are printed as JSON with
---json and are byte-stable for identical inputs apart from the timings
-block.
+(`Instance.from_int_rows`) and no `Mat2` built: `verify`, `oracle` and
+`decide` run on the forms, and a file's `Mat2` members are built only if a
+pair of it reaches `pairs.decide_pair`.  Any other file is read entry by
+entry into `Mat2`s.  Reports are printed as JSON with --json and are
+byte-stable for identical inputs apart from the timings block.
 
 Exit codes: 0 mortal / verified / clean fuzz run, 1 immortal / nonzero
 product / contradictions found, 2 unknown verdict, 64 malformed input,

@@ -6,7 +6,10 @@ singular one.  Each member's integer form and determinant
 set from the entries by `Instance.from_int_rows` when all are ints, and
 `decide`, the oracle's `search` and `verify_witness` share them.  The two
 checkers, `search` and `verify_witness`, run on `linalg` alone, no code of
-the pair engine `pairs`.  Every check below runs on the forms:
+the pair engine `pairs`.  Every check below runs on the forms; `decide`
+reads the `Mat2` members only for a pair that reaches `decide_pair`, so an
+instance from `from_int_rows` whose pairs all fail the orbit sieve is
+decided without a `Mat2` ever being built:
 
 * a zero member (integer form `ZERO`) is an immediate length-1 witness;
 * with no singular member every product is invertible: Immortal, whatever
@@ -32,12 +35,15 @@ the pair engine `pairs`.  Every check below runs on the forms:
   in different orbits of V modulo a small prime and has no exponent (see
   `pairs`): the pair phase makes O(n + survivors) calls, not n^2.  Below
   it every key is None and all ends share one bucket.  The threshold is
-  the measured break-even on unbiased one-invertible draws
+  the break-even of two entry ranges pooled, not of either alone: on
+  unbiased one-invertible draws
   (`random_instance(max_singulars=12, invertible_probability=1.0)`, 3,000
   under each of `EntryRange()` and `EntryRange(7, 5)`, best of 7, two runs
-  on Python 3.11): with the sieve and the join, `decide` took 2.5-3.3 us
-  longer at n = 4, and 0.9-1.7 us less at n = 5, 2.7-3.8 us at n = 6,
-  10.2 us at n = 8 and 22-23 us, of 78-80 us, at n = 12;
+  on Python 3.11), the sieve and the join made `decide` 2.5-3.3 us slower
+  at n = 4, and 0.9-1.7 us faster at n = 5, 2.7-3.8 us at n = 6, 10.2 us
+  at n = 8 and 22-23 us, of 78-80 us, at n = 12.  Under `EntryRange()`
+  alone they add 4-7 us per decide at every n from 4 to 12: most of those
+  draws stop at an early witness, before the labels are repaid;
 * with two or more invertible members and a singular one the problem is
   out of scope; a bounded product search still runs and may prove
   mortality, otherwise the verdict is Unknown.
@@ -69,8 +75,24 @@ IMMORTAL_PAIRS_REFUSED = "all-pairs-refused"
 UNKNOWN_OUT_OF_SCOPE = "multiple-invertible-out-of-scope"
 
 # The fewest singular members for which `decide` builds V's `orbit_sieve`:
-# the break-even measured in the module docstring.
+# the break-even of the two entry ranges pooled, measured in the module
+# docstring (under `EntryRange()` alone the sieve costs 4-7 us at every n).
 SIEVE_MIN_SINGULARS = 5
+
+
+class _MatricesFromForms:
+    """`Instance.matrices` for an instance that `from_int_rows` made without
+    it: built on first read from the integer forms, which are exactly the
+    entries, and kept in the instance's `__dict__`.  A non-data descriptor,
+    so an instance that holds its `matrices` reads them at no extra cost;
+    on the class it raises `AttributeError`, so the field has no default."""
+
+    def __get__(self, instance: Optional[Instance], owner: type) -> tuple[Mat2, ...]:
+        forms = None if instance is None else instance.__dict__.get("forms")
+        if forms is None:
+            raise AttributeError("matrices")
+        matrices = instance.__dict__["matrices"] = tuple(Mat2(*a) for a, _ in forms)
+        return matrices
 
 
 @dataclass(frozen=True)
@@ -80,10 +102,13 @@ class Instance:
     Duplicates are retained so witness words can name input positions
     unambiguously.  `forms`, each member's `int_form`, is taken on first use
     and kept, or set at once by `from_int_rows`; it takes no part in
-    equality, hashing or `repr`.
+    equality, hashing or `repr`.  An instance from `from_int_rows` builds
+    its `matrices` on first read; `==`, `hash`, `repr`, `copy` and pickling
+    read them, so they behave as for `from_rows`, and `decide` reads them
+    only for a pair that reaches `decide_pair`.
     """
 
-    matrices: tuple[Mat2, ...]
+    matrices: tuple[Mat2, ...] = _MatricesFromForms()  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         matrices = tuple(self.matrices)
@@ -94,6 +119,11 @@ class Instance:
                 raise TypeError("instance members must be Mat2 values")
         object.__setattr__(self, "matrices", matrices)
 
+    def __getstate__(self) -> dict:
+        # `matrices` first, as `__init__` sets it, so pickles are the same
+        # however the instance was made.
+        return {"matrices": self.matrices, **self.__dict__}
+
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Iterable[int]]]) -> Instance:
         return cls(tuple(Mat2.from_rows(r) for r in rows))
@@ -102,12 +132,15 @@ class Instance:
     def from_int_rows(cls, rows: Iterable[Iterable[Iterable[int]]]) -> Instance:
         """`from_rows` for `int` entries, with `forms` set from those ints: the
         lcm of their denominators is 1, so each is its member's `int_form`.
-        Any other entry, `bool` included, raises `TypeError`."""
+        No `Mat2` is built until `matrices` is first read.  Any other entry,
+        `bool` included, raises `TypeError`; no rows, `ValueError`."""
         ints = [(a, b, c, d) for (a, b), (c, d) in rows]
+        if not ints:
+            raise ValueError("instance must contain at least one matrix")
         for a, b, c, d in ints:
             if not type(a) is type(b) is type(c) is type(d) is int:
                 raise TypeError("from_int_rows takes int entries only")
-        instance = cls(tuple(Mat2(*a) for a in ints))
+        instance = cls.__new__(cls)
         instance.__dict__["forms"] = tuple((a, a[0] * a[3] - a[1] * a[2]) for a in ints)
         return instance
 
@@ -160,12 +193,15 @@ def decide(instance: Instance, oracle_bound: int = 8) -> Verdict:
     minimal exponents.  With one invertible member, each ordered pair of
     singular members whose orbit keys agree goes to `decide_pair` once, in
     row-major order.  No verdict, endpoint or pair result outlives a call;
-    an `Instance` keeps only its own members' integer forms.
+    an `Instance` keeps only its own members' integer forms, and the `Mat2`
+    members that `decide_pair` takes.  `instance.matrices` is read only for
+    a pair that reaches `decide_pair`, so an instance from `from_int_rows`
+    that is decided on its forms alone, all its pairs refused by the orbit
+    sieve among them, builds no `Mat2`.
 
     A non-`int` `oracle_bound` raises `TypeError`; below 1, `ValueError`.
     """
     _int_at_least("oracle_bound", oracle_bound, 1)
-    mats = instance.matrices
     forms = instance.forms
     for i, (a, _) in enumerate(forms):
         if a == ZERO:
@@ -193,16 +229,16 @@ def decide(instance: Instance, oracle_bound: int = 8) -> Verdict:
         return Unknown(oracle_bound)
 
     v_index = invertibles[0]
-    v = mats[v_index]
     inner = analyze_inner(forms[v_index])
     sieve = orbit_sieve(inner) if len(singulars) >= SIEVE_MIN_SINGULARS else None
-    ends = [(j, mats[j], endpoint(forms[j], inner.v, sieve)) for j in singulars]
+    ends = [(j, endpoint(forms[j], inner.v, sieve)) for j in singulars]
     buckets: dict[Optional[int], list] = {}
     for end in ends:
-        buckets.setdefault(end[2].right_key, []).append(end)
-    for i, n_i, end_i in ends:
-        for j, n_j, end_j in buckets.get(end_i.left_key, ()):
-            verdict = decide_pair(n_i, v, n_j, (inner, end_i, end_j))
+        buckets.setdefault(end[1].right_key, []).append(end)
+    for i, end_i in ends:
+        for j, end_j in buckets.get(end_i.left_key, ()):
+            mats = instance.matrices
+            verdict = decide_pair(mats[i], mats[v_index], mats[j], (inner, end_i, end_j))
             if isinstance(verdict, Witness):
                 word = (i,) + (v_index,) * verdict.k + (j,)
                 return Mortal(word, MORTAL_PAIR_EXPONENT, exponent_witness=(i, verdict.k, j))
@@ -217,7 +253,7 @@ def verify_witness(instance: Instance, word: Word) -> bool:
     """
     if not word:
         raise ValueError("witness word must be nonempty")
-    n = len(instance.matrices)
+    n = len(instance.forms)
     if min(word) < 0 or max(word) >= n:
         index = next(i for i in word if not 0 <= i < n)
         raise IndexError(f"word index {index} out of range 0..{n - 1}")

@@ -14,10 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mortality2x2 import Immortal, Instance, InternalError, Mortal, Unknown, cli, linalg
+from mortality2x2 import Immortal, Instance, InternalError, Mat2, Mortal, Unknown, cli, decide, linalg
 from mortality2x2.cli import main
 from mortality2x2.linalg import int_form
 from mortality2x2.oracle import FuzzReport
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import instances  # noqa: E402
 
 PLANTED = {"matrices": [[[7, -8], [0, 0]], [[2, 0], [1, 1]]]}
 IMMORTAL = {"matrices": [[[1, 0], [0, 0]], [[1, -2], [1, 0]]]}
@@ -536,6 +540,41 @@ def test_integer_files_load_straight_into_forms(tmp_path, capsys, monkeypatch):
         assert pickle.loads(pickle.dumps(instance)) == fresh
         with _no_digit_limit():
             assert repr(instance) == repr(fresh)
+
+
+def _mat2_builds(monkeypatch):
+    """One entry per `Mat2` built, by any constructor."""
+    builds = []
+    real = Mat2.__init__
+
+    def counting(self, *entries):
+        builds.append(entries)
+        real(self, *entries)
+
+    monkeypatch.setattr(Mat2, "__init__", counting)
+    return builds
+
+
+def test_integer_files_build_a_mat2_only_for_a_pair_that_reaches_decide_pair(tmp_path, capsys, monkeypatch):
+    # a wide_pairs file of 13 members, whose 144 pairs the orbit sieve refuses
+    # wholesale, is decided on its integer forms alone; so is a verify or an
+    # oracle search on an integer file
+    rows = instances.wide_pool(1, 12, 1)[0].matrices()
+    wide, planted = write(tmp_path, {"matrices": rows}, "wide.json"), write(tmp_path, PLANTED)
+    builds = _mat2_builds(monkeypatch)
+    assert main(["decide", wide, "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["certificate"] == "all-pairs-refused"
+    assert builds == []
+    assert decide(Instance.from_int_rows(rows)) == Immortal("all-pairs-refused")
+    assert builds == []
+    assert main(["verify", planted, "0", "1", "1", "1", "0"]) == 0
+    assert main(["oracle", planted]) == 0
+    capsys.readouterr()
+    assert builds == []
+    # the planted file's one pair reaches decide_pair: its two members are built
+    assert main(["decide", planted, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["witness"] == [0, 1, 1, 1, 0]
+    assert builds == [(7, -8, 0, 0), (2, 0, 1, 1)]
 
 
 def test_integer_and_string_entries_mixed_take_the_fraction_path(tmp_path, capsys, monkeypatch):

@@ -1,10 +1,11 @@
 """Set-level decisions, witness verification, and instance reductions."""
 
+import copy
 import pickle
 import random
 import sys
 from collections import Counter
-from dataclasses import is_dataclass
+from dataclasses import is_dataclass, replace
 from fractions import Fraction
 
 import pytest
@@ -53,9 +54,25 @@ def test_instance_validation():
 def test_from_int_rows_sets_the_forms_of_from_rows():
     rows = [[[2, -4], [0, 0]], [[0, 0], [0, 0]], [[3, 1], [-7, 10 ** 40]]]
     inst, fresh = Instance.from_int_rows(rows), Instance.from_rows(rows)
-    assert inst == fresh and repr(inst) == repr(fresh)
-    assert "forms" in vars(inst) and "forms" not in vars(fresh)
+    assert vars(inst).keys() == {"forms"} and vars(fresh).keys() == {"matrices"}
     assert inst.forms == fresh.forms
+
+    def unread():
+        # a new instance whose `matrices` has not been read, for each check
+        return Instance.from_int_rows(rows)
+
+    assert unread() == fresh and fresh == unread() and hash(unread()) == hash(fresh)
+    assert repr(unread()) == repr(fresh)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.dumps(unread(), protocol) == pickle.dumps(fresh, protocol)
+    loaded = pickle.loads(pickle.dumps(unread()))
+    assert loaded == fresh and vars(loaded)["forms"] == fresh.forms
+    for made in (copy.copy(unread()), copy.deepcopy(unread()), replace(unread())):
+        assert made == fresh and made.forms == fresh.forms
+    # the members are built on the first read and kept
+    first = inst.matrices
+    assert inst.matrices is first and first == fresh.matrices
+    assert vars(inst).keys() == {"matrices", "forms"}
     with pytest.raises(ValueError):
         Instance.from_int_rows([])
     for entry in (True, Fraction(1), 1.0, "1"):
