@@ -15,6 +15,13 @@ pair of it reaches `pairs.decide_pair`.  Any other file is read entry by
 entry into `Mat2`s.  Reports are printed as JSON with --json and are
 byte-stable for identical inputs apart from the timings block.
 
+`main` matches argv token by token against the subcommands' arguments, with
+their option strings, types and defaults read from the parser that
+`build_parser` returns, and builds the namespace argparse would give; any
+argv it does not match exactly (-h and --help, abbreviations, --opt=value,
+a bad value, a missing or extra positional) goes to argparse.  So every
+usage message, --help text and exit code is argparse's, as before.
+
 Exit codes: 0 mortal / verified / clean fuzz run, 1 immortal / nonzero
 product / contradictions found, 2 unknown verdict, 64 malformed input,
 70 engine failure (traceback on stderr, nothing on stdout), 74 standard
@@ -313,7 +320,104 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARSER = build_parser()  # built once: parsing keeps no state between calls
+def _argv_rules(parser: argparse.ArgumentParser) -> dict:
+    """What `_match` reads, taken from `parser`'s own actions, so that each
+    option string, dest, type and default is stated once, in `build_parser`.
+
+    Maps each subcommand name to (values, flags, options, positionals, rest):
+    the namespace before any token is read (each default, `func` and the
+    command); {option string: (dest, const)} for each flag; {option string:
+    (dest, type)} for each option that takes a value; the (dest, type) of each
+    single positional, in order; and that of a last one-or-more positional, or
+    None.  A subcommand with any other kind of argument is left out, and so is
+    one with both a one-or-more positional and options, since argparse splits
+    its positionals at an option: argparse parses every argv of those.
+    """
+    top = [action for action in parser._actions if not isinstance(action, argparse._HelpAction)]
+    if len(top) != 1 or not isinstance(top[0], argparse._SubParsersAction) or top[0].dest == argparse.SUPPRESS:
+        return {}
+    rules = {}
+    for name, sub in top[0].choices.items():
+        values, flags, options, positionals, rest = {}, {}, {}, [], None
+        exact = not sub._mutually_exclusive_groups
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue  # -h and --help start with "-", so argparse reads them
+            convert = action.type or (lambda text: text)
+            exact = exact and rest is None and action.choices is None and not (
+                action.option_strings and action.required
+            ) and not isinstance(action.default, str) and action.default != argparse.SUPPRESS
+            if isinstance(action, argparse._StoreConstAction) and action.option_strings:
+                flags.update(dict.fromkeys(action.option_strings, (action.dest, action.const)))
+            elif type(action) is not argparse._StoreAction:
+                exact = False
+            elif action.option_strings:
+                exact = exact and action.nargs is None
+                options.update(dict.fromkeys(action.option_strings, (action.dest, convert)))
+            elif action.nargs is None:
+                positionals.append((action.dest, convert))
+            else:
+                exact = exact and action.nargs == "+"
+                rest = (action.dest, convert)
+            values.setdefault(action.dest, action.default)
+        for dest, value in sub._defaults.items():
+            values.setdefault(dest, value)
+        values.setdefault(top[0].dest, name)  # the subcommand's own values win
+        if exact and not (rest and (flags or options)):
+            rules[name] = (values, flags, options, positionals, rest)
+    return rules
+
+
+# Built once: parsing keeps no state between calls.  `_match` reads its rules
+# from it, and it parses every argv that `_match` does not.
+_PARSER = build_parser()
+_ARGV_RULES = _argv_rules(_PARSER)
+
+
+def _match(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """`_PARSER.parse_args(argv)` for an argv that `_ARGV_RULES` matches token
+    by token; None for any other, which argparse then parses.
+
+    After the subcommand's name, a flag's option string sets its const, and
+    the option string of an option with a value takes the next token through
+    its type.  Any other token that starts with "-" gives None: -h, --help,
+    an abbreviation, --opt=value, "--", "-" and negative numbers among them.
+    So do a value that is missing, starts with "-" or fails its type (any
+    exception), a token that is not a string, and too few or too many plain
+    tokens for the positionals, which they fill in order.
+    """
+    try:
+        rules = _ARGV_RULES.get(argv[0]) if argv else None
+        if rules is None:
+            return None
+        defaults, flags, options, positionals, rest = rules
+        values, plain = dict(defaults), []
+        tokens = iter(argv[1:])
+        for token in tokens:
+            if token in flags:
+                dest, const = flags[token]
+                values[dest] = const
+            elif token in options:
+                dest, convert = options[token]
+                value = next(tokens)
+                if value.startswith("-"):
+                    return None
+                values[dest] = convert(value)
+            elif token.startswith("-"):
+                return None
+            else:
+                plain.append(token)
+        n = len(positionals)
+        if (len(plain) != n) if rest is None else (len(plain) <= n):
+            return None
+        for (dest, convert), token in zip(positionals, plain):
+            values[dest] = convert(token)
+        if rest is not None:
+            dest, convert = rest
+            values[dest] = [convert(token) for token in plain[n:]]
+        return argparse.Namespace(**values)
+    except Exception:
+        return None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -323,7 +427,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if saved_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        args = _PARSER.parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = _match(argv)
+        if args is None:
+            args = _PARSER.parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -58,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .linalg import ZERO, IntForm, Mat2, Vec2, _int_at_least, int_form, int_mat_mul, outer, rank_one_factors
 from .pairs import Witness, analyze_inner, decide_pair, endpoint, orbit_sieve
@@ -182,7 +182,9 @@ class Unknown:
     certificate: str = UNKNOWN_OUT_OF_SCOPE
 
 
-Verdict = Union[Mortal, Immortal, Unknown]
+# Written with `|`, not typing.Union, which caches its result and so would keep
+# these classes, and through them this whole module, alive after a re-import.
+Verdict = Mortal | Immortal | Unknown
 
 
 def decide(instance: Instance, oracle_bound: int = 8) -> Verdict:

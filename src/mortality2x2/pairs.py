@@ -80,7 +80,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional
 
 from .linalg import (
     CharPoly, IntForm, IntMat, IntVec, InternalError, Mat2, Rat, canon_int_mat, int_form,
@@ -112,7 +112,7 @@ class NoExponent:
     reason: RefusalReason
 
 
-PairVerdict = Union[Witness, NoExponent]
+PairVerdict = Witness | NoExponent  # not typing.Union: see decider.Verdict
 
 # The three refusals, built once: `decide_pair` returns these shared values.
 _SCAN_EXHAUSTED = NoExponent(RefusalReason.PERIODIC_SCAN_EXHAUSTED)

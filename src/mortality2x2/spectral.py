@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .linalg import IntMat, InternalError, Mat2, Rat, _rat, mat_pow, to_int_mat
 
@@ -72,7 +72,7 @@ class Empty:
     """No nonnegative integer solves the query."""
 
 
-ChebyshevAnswer = Union[Periodic, Finite, Empty]
+ChebyshevAnswer = Periodic | Finite | Empty  # not typing.Union: see decider.Verdict
 
 # Doubled-cosine track: t_0 = 2, t_1 = 2p, t_{n+1} = 2p t_n - t_{n-1},
 # so t_n = 2 T_n(p) and the query T_n(p) = q reads t_n = 2q.

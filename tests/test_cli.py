@@ -685,3 +685,82 @@ def test_closed_reader_exits_74_without_a_traceback(tmp_path, buffered):
         os.close(write_end)
     assert proc.returncode == cli.EXIT_OUTPUT_ERROR == 74
     assert proc.stderr == ""
+
+
+# Every subcommand's option strings, taken from the parser so that a new
+# option joins the draws below.
+_SUBPARSERS = cli._PARSER._subparsers._group_actions[0].choices
+_OPTION_STRINGS = sorted({s for sub in _SUBPARSERS.values() for a in sub._actions for s in a.option_strings} - {"-h", "--help"})
+_VALUES = ["0", "1", "8", "-1", "+3", " 7", "1_0", "٣", "abc", ""]
+_FILES = ["instance.json", "dir/f.json", "-f.json"]
+_TOKENS = [
+    *_SUBPARSERS, "decode", *_OPTION_STRINGS,
+    "--js", "--oracle", "--max", "--max-n", "--cou", "--oracle-bound=3", "--count=3", "--json=1", "--seed=-1",
+    "-h", "--help", "--", "-", *_VALUES, *_FILES,
+]
+_PLAIN = [token for token in _VALUES + _FILES if not token.startswith("-")]
+# Wholly random argv, and argv that start with a subcommand and lean to
+# plain tokens, so that each subcommand's fast path is reached.
+_ARGVS = st.one_of(
+    st.lists(st.sampled_from(_TOKENS), max_size=6),
+    st.builds(
+        lambda command, rest: [command, *rest],
+        st.sampled_from(sorted(_SUBPARSERS)),
+        st.lists(st.sampled_from(_PLAIN) | st.sampled_from(_PLAIN) | st.sampled_from(_TOKENS), max_size=5),
+    ),
+).flatmap(lambda argv: st.sampled_from([argv, tuple(argv)]))
+
+
+def test_fast_path_agrees_with_argparse():
+    # Item 15's gate: whatever argv `_match` reads, argparse reads to the
+    # same namespace, and without an error; any other argv is argparse's.
+    matched = set()
+
+    @given(_ARGVS)
+    @settings(max_examples=1500, deadline=None)
+    def agree(argv):
+        fast = cli._match(argv)
+        if fast is not None:
+            assert vars(fast) == vars(cli._PARSER.parse_args(argv))
+            matched.add(fast.command)
+
+    agree()
+    assert matched == set(_SUBPARSERS) == {"decide", "verify", "oracle", "fuzz"}
+
+
+def test_common_argv_skip_argparse_and_help_still_comes_from_it(tmp_path, capsys, monkeypatch):
+    calls = []
+    real_parse_args = cli._PARSER.parse_args
+
+    def spy(argv):
+        calls.append(argv)
+        return real_parse_args(argv)
+
+    monkeypatch.setattr(cli._PARSER, "parse_args", spy)
+    path = write(tmp_path, PLANTED)
+    fast = [
+        (["decide", path], 0),
+        (["decide", path, "--json"], 0),
+        (["decide", path, "--oracle-bound", "3", "--json"], 0),
+        (("oracle", path, "--max-len", "4", "--json"), 1),  # the witness has 5 letters
+        (["fuzz", "--count", "3", "--seed", "1", "--json"], 0),
+    ]
+    for argv, code in fast:
+        assert main(argv) == code
+    assert calls == []
+    capsys.readouterr()
+    # an abbreviation and an --opt=value form are argparse's to read
+    assert main(["decide", path, "--js"]) == 0
+    assert json.loads(capsys.readouterr().out)["witness"] == [0, 1, 1, 1, 0]
+    assert main(["decide", path, "--oracle-bound=3"]) == 0
+    assert capsys.readouterr().out.startswith("verdict: mortal\n")
+    assert calls == [["decide", path, "--js"], ["decide", path, "--oracle-bound=3"]]
+    helps = [([], cli._PARSER)] + [([name], sub) for name, sub in _SUBPARSERS.items()]
+    for words, parser in helps:
+        with pytest.raises(SystemExit) as exit_info:
+            main([*words, "--help"])
+        assert exit_info.value.code == 0
+        out, err = capsys.readouterr()
+        assert out == parser.format_help() and err == ""
+        assert calls[-1] == [*words, "--help"]
+    assert len(calls) == 2 + len(helps)

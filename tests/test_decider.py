@@ -1,14 +1,21 @@
 """Set-level decisions, witness verification, and instance reductions."""
 
 import copy
+import os
 import pickle
 import random
+import subprocess
 import sys
+import textwrap
+import typing
 from collections import Counter
 from dataclasses import is_dataclass, replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import mortality2x2
 
 from mortality2x2 import Immortal, Instance, Mat2, Mortal, RankError, Unknown, decide, search, verify_witness
 from mortality2x2.linalg import Vec2, int_form, is_scalar_multiple, mat_pow, outer, rank_one_factors
@@ -21,6 +28,7 @@ from mortality2x2.decider import (
     MORTAL_TWO_STEP,
     MORTAL_ZERO_MEMBER,
     SIEVE_MIN_SINGULARS,
+    Verdict,
     cross_split,
     pad_singular,
     to_two_singular,
@@ -655,3 +663,36 @@ def test_decide_multiplies_and_zero_tests_only_integer_forms(monkeypatch):
     for inst, certificate in cases:
         assert decide(inst).certificate == certificate
     assert calls == {"__mul__": 0, "is_zero": 0, "det": 0, "__init__": 0}
+
+
+def test_verdict_is_the_union_of_the_three_verdicts():
+    assert typing.get_args(Verdict) == (Mortal, Immortal, Unknown)
+    assert all(isinstance(verdict, Verdict) for verdict in (Mortal((0,), "c"), Immortal("c"), Unknown(3)))
+    assert not isinstance(Witness(3), Verdict)
+
+
+_REIMPORT = textwrap.dedent("""
+    import gc, sys, weakref
+    from mortality2x2 import decider, pairs, spectral
+    refs = [weakref.ref(cls) for cls in (decider.Instance, pairs.Witness, spectral.Periodic)]
+    del decider, pairs, spectral
+    for name in [name for name in sys.modules if name.partition(".")[0] == "mortality2x2"]:
+        del sys.modules[name]
+    import mortality2x2
+    gc.collect()
+    print([ref() is None for ref in refs])
+""")
+
+
+def test_a_reimported_package_leaves_no_old_module_alive():
+    # A union alias built with typing.Union is cached by `typing`, and the
+    # cache kept its classes, and through their methods' globals each whole
+    # module, alive after the package left sys.modules: every re-import (the
+    # benchmark makes one per set-up) stayed resident.  Run in a child
+    # interpreter: a re-import here would split class identity for the
+    # other tests.
+    src = str(Path(mortality2x2.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", _REIMPORT], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[True, True, True]\n"
