@@ -15,12 +15,12 @@ pair of it reaches `pairs.decide_pair`.  Any other file is read entry by
 entry into `Mat2`s.  Reports are printed as JSON with --json and are
 byte-stable for identical inputs apart from the timings block.
 
-`main` matches argv token by token against the subcommands' arguments, with
-their option strings, types and defaults read from the parser that
-`build_parser` returns, and builds the namespace argparse would give; any
-argv it does not match exactly (-h and --help, abbreviations, --opt=value,
-a bad value, a missing or extra positional) goes to argparse.  So every
-usage message, --help text and exit code is argparse's, as before.
+Each subcommand's arguments are stated once, in `_COMMANDS`: `build_parser`
+makes argparse's parser of it, and `main` matches argv token by token
+against it and builds the namespace argparse would give; any argv it does
+not match exactly (-h and --help, abbreviations, --opt=value, a bad value,
+a missing or extra positional) goes to argparse.  So every usage message,
+--help text and exit code is argparse's, as before.
 
 Exit codes: 0 mortal / verified / clean fuzz run, 1 immortal / nonzero
 product / contradictions found, 2 unknown verdict, 64 malformed input,
@@ -287,118 +287,83 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return EXIT_OK if report.contradictions == 0 else EXIT_FAIL
 
 
+# Each subcommand, stated once: its help, its handler, its single positionals
+# as (dest, type) in order, a last one-or-more positional as (dest, type) or
+# None, and its options as {option string: (dest, type, default)}, where a
+# type of None marks a store-true flag.  `build_parser` and `_match` read it.
+_COMMANDS = {
+    "decide": ("decide mortality of an instance file", cmd_decide, [("file", str)], None, {
+        "--json": ("json", None, False),
+        "--oracle-bound": ("oracle_bound", _at_least_one, 8),
+    }),
+    "verify": ("check a witness word against an instance file", cmd_verify, [("file", str)], ("index", int), {}),
+    "oracle": ("bounded brute-force search for a zero product", cmd_oracle, [("file", str)], None, {
+        "--json": ("json", None, False),
+        "--max-len": ("max_len", _at_least_one, 8),
+    }),
+    "fuzz": ("cross-validate the decider against the search oracle", cmd_fuzz, [], None, {
+        "--json": ("json", None, False),
+        "--count": ("count", _at_least_one, 1000),
+        "--seed": ("seed", int, 0),
+        "--oracle-bound": ("oracle_bound", _at_least_one, 8),
+        "--max-numerator": ("max_numerator", _at_least_one, 3),
+        "--max-denominator": ("max_denominator", _at_least_one, 3),
+    }),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mortality2x2", description="Exact mortality decisions for sets of 2x2 rational matrices.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_decide = sub.add_parser("decide", help="decide mortality of an instance file")
-    p_decide.add_argument("file")
-    p_decide.add_argument("--json", action="store_true")
-    p_decide.add_argument("--oracle-bound", type=_at_least_one, default=8, dest="oracle_bound")
-    p_decide.set_defaults(func=cmd_decide)
-
-    p_verify = sub.add_parser("verify", help="check a witness word against an instance file")
-    p_verify.add_argument("file")
-    p_verify.add_argument("index", type=int, nargs="+")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_oracle = sub.add_parser("oracle", help="bounded brute-force search for a zero product")
-    p_oracle.add_argument("file")
-    p_oracle.add_argument("--json", action="store_true")
-    p_oracle.add_argument("--max-len", type=_at_least_one, default=8, dest="max_len")
-    p_oracle.set_defaults(func=cmd_oracle)
-
-    p_fuzz = sub.add_parser("fuzz", help="cross-validate the decider against the search oracle")
-    p_fuzz.add_argument("--json", action="store_true")
-    p_fuzz.add_argument("--count", type=_at_least_one, default=1000)
-    p_fuzz.add_argument("--seed", type=int, default=0)
-    p_fuzz.add_argument("--oracle-bound", type=_at_least_one, default=8, dest="oracle_bound")
-    p_fuzz.add_argument("--max-numerator", type=_at_least_one, default=3, dest="max_numerator")
-    p_fuzz.add_argument("--max-denominator", type=_at_least_one, default=3, dest="max_denominator")
-    p_fuzz.set_defaults(func=cmd_fuzz)
-
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, positionals, rest, options) in _COMMANDS.items():
+        sub = subparsers.add_parser(name, help=help_text)
+        for dest, convert in positionals:
+            sub.add_argument(dest, type=convert)
+        if rest is not None:
+            sub.add_argument(rest[0], type=rest[1], nargs="+")
+        for option, (dest, convert, default) in options.items():
+            kind = {"action": "store_true"} if convert is None else {"type": convert}
+            sub.add_argument(option, default=default, dest=dest, **kind)
+        sub.set_defaults(func=func)
     return parser
 
 
-def _argv_rules(parser: argparse.ArgumentParser) -> dict:
-    """What `_match` reads, taken from `parser`'s own actions, so that each
-    option string, dest, type and default is stated once, in `build_parser`.
-
-    Maps each subcommand name to (values, flags, options, positionals, rest):
-    the namespace before any token is read (each default, `func` and the
-    command); {option string: (dest, const)} for each flag; {option string:
-    (dest, type)} for each option that takes a value; the (dest, type) of each
-    single positional, in order; and that of a last one-or-more positional, or
-    None.  A subcommand with any other kind of argument is left out, and so is
-    one with both a one-or-more positional and options, since argparse splits
-    its positionals at an option: argparse parses every argv of those.
-    """
-    top = [action for action in parser._actions if not isinstance(action, argparse._HelpAction)]
-    if len(top) != 1 or not isinstance(top[0], argparse._SubParsersAction) or top[0].dest == argparse.SUPPRESS:
-        return {}
-    rules = {}
-    for name, sub in top[0].choices.items():
-        values, flags, options, positionals, rest = {}, {}, {}, [], None
-        exact = not sub._mutually_exclusive_groups
-        for action in sub._actions:
-            if isinstance(action, argparse._HelpAction):
-                continue  # -h and --help start with "-", so argparse reads them
-            convert = action.type or (lambda text: text)
-            exact = exact and rest is None and action.choices is None and not (
-                action.option_strings and action.required
-            ) and not isinstance(action.default, str) and action.default != argparse.SUPPRESS
-            if isinstance(action, argparse._StoreConstAction) and action.option_strings:
-                flags.update(dict.fromkeys(action.option_strings, (action.dest, action.const)))
-            elif type(action) is not argparse._StoreAction:
-                exact = False
-            elif action.option_strings:
-                exact = exact and action.nargs is None
-                options.update(dict.fromkeys(action.option_strings, (action.dest, convert)))
-            elif action.nargs is None:
-                positionals.append((action.dest, convert))
-            else:
-                exact = exact and action.nargs == "+"
-                rest = (action.dest, convert)
-            values.setdefault(action.dest, action.default)
-        for dest, value in sub._defaults.items():
-            values.setdefault(dest, value)
-        values.setdefault(top[0].dest, name)  # the subcommand's own values win
-        if exact and not (rest and (flags or options)):
-            rules[name] = (values, flags, options, positionals, rest)
-    return rules
-
-
-# Built once: parsing keeps no state between calls.  `_match` reads its rules
-# from it, and it parses every argv that `_match` does not.
+# Built once: parsing keeps no state between calls.  It parses every argv
+# that `_match` does not.
 _PARSER = build_parser()
-_ARGV_RULES = _argv_rules(_PARSER)
+# The namespace of each subcommand before any token is read, copied by `_match`.
+_DEFAULTS = {
+    name: {"command": name, "func": func, **{dest: default for dest, _, default in options.values()}}
+    for name, (_, func, _, _, options) in _COMMANDS.items()
+}
 
 
 def _match(argv: Sequence[str]) -> Optional[argparse.Namespace]:
-    """`_PARSER.parse_args(argv)` for an argv that `_ARGV_RULES` matches token
+    """`_PARSER.parse_args(argv)` for an argv that `_COMMANDS` matches token
     by token; None for any other, which argparse then parses.
 
-    After the subcommand's name, a flag's option string sets its const, and
-    the option string of an option with a value takes the next token through
-    its type.  Any other token that starts with "-" gives None: -h, --help,
-    an abbreviation, --opt=value, "--", "-" and negative numbers among them.
-    So do a value that is missing, starts with "-" or fails its type (any
+    After the subcommand's name, a flag's option string sets True, and the
+    option string of an option with a value takes the next token through its
+    type.  Any other token that starts with "-" gives None: -h, --help, an
+    abbreviation, --opt=value, "--", "-" and negative numbers among them.  So
+    do a value that is missing, starts with "-" or fails its type (any
     exception), a token that is not a string, and too few or too many plain
-    tokens for the positionals, which they fill in order.
+    tokens for the positionals, which they fill in order.  A one-or-more
+    positional next to any option also gives None: argparse splits it there.
     """
     try:
-        rules = _ARGV_RULES.get(argv[0]) if argv else None
-        if rules is None:
+        command = _COMMANDS.get(argv[0]) if argv else None
+        if command is None:
             return None
-        defaults, flags, options, positionals, rest = rules
-        values, plain = dict(defaults), []
+        _, _, positionals, rest, options = command
+        values, plain = dict(_DEFAULTS[argv[0]]), []
         tokens = iter(argv[1:])
         for token in tokens:
-            if token in flags:
-                dest, const = flags[token]
-                values[dest] = const
-            elif token in options:
-                dest, convert = options[token]
+            if token in options:
+                dest, convert, _ = options[token]
+                if convert is None:
+                    values[dest] = True
+                    continue
                 value = next(tokens)
                 if value.startswith("-"):
                     return None
@@ -407,14 +372,14 @@ def _match(argv: Sequence[str]) -> Optional[argparse.Namespace]:
                 return None
             else:
                 plain.append(token)
-        n = len(positionals)
-        if (len(plain) != n) if rest is None else (len(plain) <= n):
+        n = len(plain)
+        if (n != len(positionals)) if rest is None else (n <= len(positionals) or n < len(argv) - 1):
             return None
         for (dest, convert), token in zip(positionals, plain):
             values[dest] = convert(token)
         if rest is not None:
             dest, convert = rest
-            values[dest] = [convert(token) for token in plain[n:]]
+            values[dest] = [convert(token) for token in plain[len(positionals):]]
         return argparse.Namespace(**values)
     except Exception:
         return None

@@ -1,6 +1,7 @@
 """Command-line interface: file ingestion, verdict reports, exit codes."""
 
 import contextlib
+import io
 import json
 import os
 import pickle
@@ -687,10 +688,47 @@ def test_closed_reader_exits_74_without_a_traceback(tmp_path, buffered):
     assert proc.stderr == ""
 
 
-# Every subcommand's option strings, taken from the parser so that a new
-# option joins the draws below.
-_SUBPARSERS = cli._PARSER._subparsers._group_actions[0].choices
-_OPTION_STRINGS = sorted({s for sub in _SUBPARSERS.values() for a in sub._actions for s in a.option_strings} - {"-h", "--help"})
+def _reference_parser():
+    """The grammar stated call by call, as `build_parser` stated it before the
+    `_COMMANDS` table: the parser, and each subcommand's parser by name."""
+    parser = cli._Parser(prog="mortality2x2", description="Exact mortality decisions for sets of 2x2 rational matrices.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_decide = sub.add_parser("decide", help="decide mortality of an instance file")
+    p_decide.add_argument("file")
+    p_decide.add_argument("--json", action="store_true")
+    p_decide.add_argument("--oracle-bound", type=cli._at_least_one, default=8, dest="oracle_bound")
+    p_decide.set_defaults(func=cli.cmd_decide)
+
+    p_verify = sub.add_parser("verify", help="check a witness word against an instance file")
+    p_verify.add_argument("file")
+    p_verify.add_argument("index", type=int, nargs="+")
+    p_verify.set_defaults(func=cli.cmd_verify)
+
+    p_oracle = sub.add_parser("oracle", help="bounded brute-force search for a zero product")
+    p_oracle.add_argument("file")
+    p_oracle.add_argument("--json", action="store_true")
+    p_oracle.add_argument("--max-len", type=cli._at_least_one, default=8, dest="max_len")
+    p_oracle.set_defaults(func=cli.cmd_oracle)
+
+    p_fuzz = sub.add_parser("fuzz", help="cross-validate the decider against the search oracle")
+    p_fuzz.add_argument("--json", action="store_true")
+    p_fuzz.add_argument("--count", type=cli._at_least_one, default=1000)
+    p_fuzz.add_argument("--seed", type=int, default=0)
+    p_fuzz.add_argument("--oracle-bound", type=cli._at_least_one, default=8, dest="oracle_bound")
+    p_fuzz.add_argument("--max-numerator", type=cli._at_least_one, default=3, dest="max_numerator")
+    p_fuzz.add_argument("--max-denominator", type=cli._at_least_one, default=3, dest="max_denominator")
+    p_fuzz.set_defaults(func=cli.cmd_fuzz)
+
+    return parser, {"decide": p_decide, "verify": p_verify, "oracle": p_oracle, "fuzz": p_fuzz}
+
+
+_REFERENCE, _REFERENCE_SUBPARSERS = _reference_parser()
+
+# Every subcommand and option string, taken from the table so that a new
+# one joins the draws below.
+_SUBPARSERS = list(cli._COMMANDS)
+_OPTION_STRINGS = sorted({s for command in cli._COMMANDS.values() for s in command[4]})
 _VALUES = ["0", "1", "8", "-1", "+3", " 7", "1_0", "٣", "abc", ""]
 _FILES = ["instance.json", "dir/f.json", "-f.json"]
 _TOKENS = [
@@ -755,7 +793,7 @@ def test_common_argv_skip_argparse_and_help_still_comes_from_it(tmp_path, capsys
     assert main(["decide", path, "--oracle-bound=3"]) == 0
     assert capsys.readouterr().out.startswith("verdict: mortal\n")
     assert calls == [["decide", path, "--js"], ["decide", path, "--oracle-bound=3"]]
-    helps = [([], cli._PARSER)] + [([name], sub) for name, sub in _SUBPARSERS.items()]
+    helps = [([], _REFERENCE)] + [([name], _REFERENCE_SUBPARSERS[name]) for name in _SUBPARSERS]
     for words, parser in helps:
         with pytest.raises(SystemExit) as exit_info:
             main([*words, "--help"])
@@ -764,3 +802,45 @@ def test_common_argv_skip_argparse_and_help_still_comes_from_it(tmp_path, capsys
         assert out == parser.format_help() and err == ""
         assert calls[-1] == [*words, "--help"]
     assert len(calls) == 2 + len(helps)
+
+
+def _parsed(parser, argv):
+    """What `parser` makes of argv: its namespace, its error message, or the
+    exit code and stdout of --help."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return vars(parser.parse_args(argv))
+    except cli.CliError as exc:
+        return f"error: {exc}"
+    except SystemExit as exc:
+        return exc.code, out.getvalue()
+
+
+def test_parser_built_from_the_table_keeps_the_reference_grammar():
+    # A changed default, type, dest, help string or argument order shows in
+    # a help text or a namespace here.
+    assert cli._PARSER.format_help() == _REFERENCE.format_help()
+    for name, sub in _REFERENCE_SUBPARSERS.items():
+        assert _parsed(cli._PARSER, [name, "--help"]) == (0, sub.format_help())
+
+    @given(_ARGVS)
+    @settings(max_examples=1000, deadline=None)
+    def agree(argv):
+        assert _parsed(cli._PARSER, argv) == _parsed(_REFERENCE, argv)
+
+    agree()
+
+
+def test_one_or_more_positional_next_to_an_option_is_left_to_argparse(monkeypatch):
+    # argparse ends a one-or-more positional at an option: given an option,
+    # `verify F 1 --json 2` is an error there, not index [1, 2].
+    monkeypatch.setitem(cli._COMMANDS, "verify", (*cli._COMMANDS["verify"][:4], {"--json": ("json", None, False)}))
+    monkeypatch.setitem(cli._DEFAULTS, "verify", {**cli._DEFAULTS["verify"], "json": False})
+    parser = cli.build_parser()
+    for argv in (["verify", "f", "1", "--json", "2"], ["verify", "f", "--json", "1"], ["verify", "--json", "f", "1"]):
+        assert cli._match(argv) is None
+    argv = ["verify", "f", "1", "2"]
+    assert vars(cli._match(argv)) == vars(parser.parse_args(argv)) == {
+        "command": "verify", "func": cli.cmd_verify, "json": False, "file": "f", "index": [1, 2],
+    }
