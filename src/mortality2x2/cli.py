@@ -7,13 +7,19 @@ Instance files are JSON documents of the form
 where each entry is a JSON integer or an exact "p/q" string, one that fully
 matches [+-]?[0-9]+(/[0-9]+)? with ASCII digits; any other string (an
 exponent, a decimal point, an underscore, a space, a non-ASCII digit) and
-floating point are rejected with exit 64.  A file of JSON integers only
-becomes an `Instance` with its integer forms already set
-(`Instance.from_int_rows`) and no `Mat2` built: `verify`, `oracle` and
-`decide` run on the forms, and a file's `Mat2` members are built only if a
-pair of it reaches `pairs.decide_pair`.  Any other file is read entry by
-entry into `Mat2`s.  Reports are printed as JSON with --json and are
-byte-stable for identical inputs apart from the timings block.
+floating point are rejected with exit 64.  The parsed member list goes as it
+is to `Instance.from_int_rows`, so a file of JSON integers only becomes an
+`Instance` in one pass, with its integer forms set and no `Mat2` built:
+`verify`, `oracle` and `decide` run on the forms, and a file's `Mat2`
+members are built only if a pair of it reaches `pairs.decide_pair`.  Only
+when that refuses the list (a non-int entry, or a member not two rows of
+two) is the same document read again entry by entry, into `Mat2`s or to a
+message naming the first bad member or entry.  Reports are printed as JSON
+with --json, exactly as `json.dumps(report, indent=2)` writes them, and are
+byte-stable for identical inputs apart from the timings block.  `decide
+--json` fills one template (`_decide_json`), and an i V^k j witness word is
+written with one string repeat, so the CLI's share of a `decide` op does not
+grow with the witness exponent.
 
 Each subcommand's arguments are stated once, in `_COMMANDS`: `build_parser`
 makes argparse's parser of it, and `main` matches argv token by token
@@ -134,14 +140,18 @@ def load_instance(path: str) -> Instance:
     raw_matrices = doc["matrices"]
     if not isinstance(raw_matrices, list) or not raw_matrices:
         raise CliError(f"{path}: \"matrices\" must be a nonempty list")
-    # A matrix of four JSON integers is kept as read; any other goes entry by
-    # entry through _parse_entry to a Mat2.  JSON arrays are lists, the one
-    # kind of sequence a pattern below matches.
-    members: list = []
+    # A file of JSON integers only, the common case, becomes an instance in
+    # one pass: `from_int_rows` refuses a non-int entry (TypeError) and a
+    # member that is not two rows of two (ValueError, from unpacking).  Only
+    # then is the same document read again, entry by entry through
+    # _parse_entry to Mat2s, which names the first bad member or entry.
+    try:
+        return Instance.from_int_rows(raw_matrices)
+    except (TypeError, ValueError):
+        pass
+    members = []
     for mi, raw_matrix in enumerate(raw_matrices):
-        match raw_matrix:
-            case [[e00, e01], [e10, e11]] if type(e00) is type(e01) is type(e10) is type(e11) is int:
-                members.append(raw_matrix)  # `type` is never int for a bool
+        match raw_matrix:  # JSON arrays are lists, the one sequence this matches
             case [[_, _], [_, _]]:
                 members.append(Mat2(*(
                     _parse_entry(raw, mi, r, c)
@@ -150,9 +160,7 @@ def load_instance(path: str) -> Instance:
                 )))
             case _:
                 raise CliError(f"matrices[{mi}]: expected a 2x2 array")
-    if not any(isinstance(m, Mat2) for m in members):
-        return Instance.from_int_rows(members)
-    return Instance(tuple(m if isinstance(m, Mat2) else Mat2.from_rows(m) for m in members))
+    return Instance(tuple(members))
 
 
 def _verdict_report(verdict: Verdict, timings: dict) -> dict:
@@ -171,7 +179,19 @@ def _verdict_report(verdict: Verdict, timings: dict) -> dict:
 
 
 def _join_runs(word: Sequence[int], sep: str) -> str:
-    """sep.join(map(str, word)), one string repeat per run of equal indices."""
+    """sep.join(map(str, word)) for a word of ints, in a fixed number of
+    Python steps for an i V^k j word and one per run of equal indices for
+    any other.
+
+    A word of n >= 3 indices whose second differs from its first and last
+    and occurs n - 2 times is its first, then the second n - 2 times, then
+    its last: one C-speed `count` tells, and one string repeat writes it.
+    """
+    n = len(word)
+    if n >= 3:
+        v = word[1]
+        if v != word[0] and v != word[-1] and word.count(v) == n - 2:
+            return f"{word[0]}{sep}{(str(v) + sep) * (n - 2)}{word[-1]}"
     return "".join((sep + str(i)) * len(list(run)) for i, run in groupby(word))[len(sep):]
 
 
@@ -206,12 +226,36 @@ def _json_text(value: object, indent: str = "") -> str:
     return "[\n" + inner + body + "\n" + indent + "]"
 
 
-def _emit(report: dict, as_json: bool) -> None:
-    if as_json:
-        print(_json_text(report))
-        return
-    verdict = report["verdict"]
-    print(f"verdict: {verdict}")
+def _decide_json(verdict: Verdict, parse_ms: float, decide_ms: float) -> str:
+    """Exactly `_json_text(_verdict_report(verdict, timings))` with the
+    timings {"parse_ms": parse_ms, "decide_ms": decide_ms}, for any verdict
+    of `decide` (a Mortal witness is never empty): one template in the
+    report's key order, with no walk of the report.
+
+    Strings are escaped by `encode_basestring_ascii`, ints written by
+    `str`, the witness word by `_join_runs`, and the timings, finite floats,
+    by `float.__repr__`, as json.dumps writes them.
+    """
+    witness = exponent_witnesses = "null"
+    search_bound = ""
+    if isinstance(verdict, Mortal):
+        witness = "[\n    " + _join_runs(verdict.witness, ",\n    ") + "\n  ]"
+        if verdict.exponent_witness is not None:
+            i, k, j = verdict.exponent_witness
+            exponent_witnesses = f"[\n    [\n      {i},\n      {k},\n      {j}\n    ]\n  ]"
+    elif isinstance(verdict, Unknown):
+        search_bound = f',\n  "search_bound": {verdict.search_bound}'
+    return (
+        f'{{\n  "verdict": {encode_basestring_ascii(_VERDICTS[type(verdict)][0])},\n'
+        f'  "witness": {witness},\n  "exponent_witnesses": {exponent_witnesses},\n'
+        f'  "certificate": {encode_basestring_ascii(verdict.certificate)}{search_bound},\n'
+        f'  "timings": {{\n    "parse_ms": {parse_ms!r},\n    "decide_ms": {decide_ms!r}\n  }}\n}}'
+    )
+
+
+def _print_text(report: dict) -> None:
+    """The human-readable form of a `_verdict_report`."""
+    print(f"verdict: {report['verdict']}")
     if report.get("witness") is not None:
         print(f"witness word: {_join_runs(report['witness'], ' ')}")
     if report.get("exponent_witnesses"):
@@ -226,11 +270,11 @@ def cmd_decide(args: argparse.Namespace) -> int:
     t1 = time.perf_counter()
     verdict = decide(instance, oracle_bound=args.oracle_bound)
     t2 = time.perf_counter()
-    timings = {
-        "parse_ms": round(1000 * (t1 - t0), 3),
-        "decide_ms": round(1000 * (t2 - t1), 3),
-    }
-    _emit(_verdict_report(verdict, timings), args.json)
+    parse_ms, decide_ms = round(1000 * (t1 - t0), 3), round(1000 * (t2 - t1), 3)
+    if args.json:
+        print(_decide_json(verdict, parse_ms, decide_ms))
+    else:
+        _print_text(_verdict_report(verdict, {"parse_ms": parse_ms, "decide_ms": decide_ms}))
     return _VERDICTS[type(verdict)][1]
 
 

@@ -242,8 +242,9 @@ def decide(instance: Instance, oracle_bound: int = 8) -> Verdict:
             mats = instance.matrices
             verdict = decide_pair(mats[i], mats[v_index], mats[j], (inner, end_i, end_j))
             if isinstance(verdict, Witness):
-                word = (i,) + (v_index,) * verdict.k + (j,)
-                return Mortal(word, MORTAL_PAIR_EXPONENT, exponent_witness=(i, verdict.k, j))
+                word = [v_index] * (verdict.k + 2)  # i V^k j, built in one pass
+                word[0], word[-1] = i, j
+                return Mortal(tuple(word), MORTAL_PAIR_EXPONENT, exponent_witness=(i, verdict.k, j))
     return Immortal(IMMORTAL_PAIRS_REFUSED)
 
 

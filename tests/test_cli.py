@@ -180,6 +180,16 @@ WORDS = {
     "planted": [0] + [1] * 4998 + [0],
     "alternating": [0, 1] * 2500,
     "random": [random.Random(0).randrange(4) for _ in range(5000)],
+    # near misses of the one-repeat shape i, v x (n - 2), j, and one hit
+    "first-is-middle": [1, 1, 1],
+    "last-is-middle": [0, 1, 1, 1, 1],
+    "count-off-by-one": [0, 1, 2, 1, 0],
+    "one-repeat": [0, 1, 0],
+    "pair": [3, 3],
+    "middle-twice-between": [2, 1, 1, 2, 1, 2],
+    # the count fits, but an end is the middle index
+    "first-is-middle-count-fits": [1, 1, 2, 0],
+    "last-is-middle-count-fits": [0, 1, 2, 1],
 }
 REPORTS = {
     "pair-exponent": cli._verdict_report(Mortal((0, 1, 1, 1, 0), "pair-exponent", (0, 3, 0)), TIMINGS),
@@ -209,9 +219,55 @@ def test_json_text_is_json_dumps_indent_2(report):
     assert cli._json_text(report) == json.dumps(report, indent=2)
 
 
-@pytest.mark.parametrize("word", WORDS.values(), ids=WORDS.keys())
+WORDS_AND_TUPLES = {**WORDS, **{f"tuple-{name}": tuple(word) for name, word in WORDS.items()}}
+
+
+@pytest.mark.parametrize("word", WORDS_AND_TUPLES.values(), ids=WORDS_AND_TUPLES.keys())
 def test_word_runs_join_like_str_join(word):
     assert cli._join_runs(word, " ") == " ".join(map(str, word))
+
+
+def _pair_exponent(i, k, j):
+    return Mortal((i,) + (1,) * k + (j,), "pair-exponent", (i, k, j))
+
+
+DECIDE_VERDICTS = {
+    "zero-member": Mortal((0,), "zero-member"),
+    "two-step-same-index": Mortal((1, 1), "two-step-product"),
+    "bounded-search": Mortal((2, 0, 1, 2), "bounded-search"),
+    "pair-exponent-k0-same-ends": Mortal((0, 0), "pair-exponent", (0, 0, 0)),
+    "pair-exponent-k0": Mortal((0, 2), "pair-exponent", (0, 0, 2)),
+    "pair-exponent-k1": _pair_exponent(0, 1, 2),
+    "pair-exponent-k5000": _pair_exponent(0, 5000, 0),
+    "all-invertible": Immortal("all-invertible"),
+    "no-zero-pair-product": Immortal("no-zero-pair-product"),
+    "all-pairs-refused": Immortal("all-pairs-refused"),
+    "unknown": Unknown(5),
+}
+DECIDE_TIMINGS = [0.0, 1e-05, 123456.789, 0.1]
+
+
+@pytest.mark.parametrize("verdict", DECIDE_VERDICTS.values(), ids=DECIDE_VERDICTS.keys())
+@pytest.mark.parametrize("t", range(len(DECIDE_TIMINGS)), ids=map(repr, DECIDE_TIMINGS))
+def test_decide_json_is_json_dumps_of_the_report(verdict, t):
+    # each timing value is written both as parse_ms and as decide_ms
+    parse_ms, decide_ms = DECIDE_TIMINGS[t], DECIDE_TIMINGS[t - 1]
+    report = cli._verdict_report(verdict, {"parse_ms": parse_ms, "decide_ms": decide_ms})
+    assert cli._decide_json(verdict, parse_ms, decide_ms) == json.dumps(report, indent=2)
+
+
+def test_decide_json_on_the_benchmark_pools_is_json_dumps(tmp_path, capsys):
+    # every seed-1 pool file of deep_exponent and wide_pairs, drawn as
+    # perfbench/run.py draws them (DEEP_STRATA = 26; WIDE_SINGULARS = 12,
+    # WIDE_PER_KIND = 13)
+    pool = instances.deep_pool(1, 26) + instances.wide_pool(1, 12, 13)
+    for i, case in enumerate(pool):
+        path = write(tmp_path, {"matrices": case.matrices()}, f"pool-{i}.json")
+        code = main(["decide", path, "--json"])
+        out = capsys.readouterr().out
+        report = json.loads(out)
+        assert out == json.dumps(report, indent=2) + "\n"
+        assert (code, report["verdict"], report["witness"]) == case.expected()
 
 
 json_values = st.recursive(
@@ -596,6 +652,63 @@ def test_integer_and_string_entries_mixed_take_the_fraction_path(tmp_path, capsy
     assert loaded[0].forms == loaded[1].forms
     # none for the integer file; then each member once, for Instance.forms
     assert conversions == [0, 2]
+
+
+def _parse_entry_calls(monkeypatch):
+    calls = []
+    real = cli._parse_entry
+    monkeypatch.setattr(cli, "_parse_entry", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("doc", [PLANTED, IMMORTAL, ZERO, OUT_OF_SCOPE], ids=["planted", "immortal", "zero", "unknown"])
+def test_integer_files_are_read_in_one_pass(tmp_path, capsys, monkeypatch, doc):
+    # no entry of an all-integer file goes through _parse_entry, and the
+    # report is that of the same instance built entry by entry into Mat2s
+    calls = _parse_entry_calls(monkeypatch)
+    code = main(["decide", write(tmp_path, doc), "--json", "--oracle-bound", "5"])
+    report = json.loads(capsys.readouterr().out)
+    assert calls == []
+    verdict = decide(Instance.from_rows(doc["matrices"]), oracle_bound=5)
+    assert report == json.loads(json.dumps(cli._verdict_report(verdict, report["timings"])))
+    assert code == {"mortal": 0, "immortal": 1, "unknown": 2}[report["verdict"]]
+
+
+# A member that the one-pass integer load refuses, after a valid member, and
+# what `decide` then reports: the first bad member or entry, as the messages
+# pinned above word it, or, for a "p/q" string, the report of the same
+# instance written in integers.
+REFUSED_MEMBERS = {
+    "three-entry-row": ([[1, 0, 2], [0, 0]], "matrices[1]: expected a 2x2 array"),
+    "boolean": ([[1, 0], [0, True]], "matrices[1][1][1]: boolean is not a rational entry"),
+    "float": (
+        [[1, 0.5], [0, 0]],
+        'matrices[1][0][1]: floating point entries are not accepted; write an exact "p/q" string',
+    ),
+    "nested-list": ([[1, 0], [[1], 0]], "matrices[1][1][0]: unsupported entry of type list"),
+    "dict": ([[1, 0], [0, {"p": 1}]], "matrices[1][1][1]: unsupported entry of type dict"),
+    "string-member": ("ab", "matrices[1]: expected a 2x2 array"),
+    "string-rows": (["12", "34"], "matrices[1]: expected a 2x2 array"),
+    "p/q-string": ([[7, "-8/1"], [0, 0]], None),
+    "empty-member": ([], "matrices[1]: expected a 2x2 array"),
+    "one-by-two": ([[1, 2]], "matrices[1]: expected a 2x2 array"),
+}
+
+
+@pytest.mark.parametrize("member, problem", REFUSED_MEMBERS.values(), ids=REFUSED_MEMBERS.keys())
+def test_one_pass_load_keeps_every_refusal(tmp_path, capsys, member, problem):
+    v = [[2, 0], [1, 1]]
+    code = main(["decide", write(tmp_path, {"matrices": [v, member]}), "--json"])
+    out, err = capsys.readouterr()
+    if problem is not None:
+        assert (code, out, err) == (64, "", f"error: {problem}\n")
+        return
+    assert (code, err) == (0, "")
+    assert main(["decide", write(tmp_path, {"matrices": [v, [[7, -8], [0, 0]]]}, "ints.json"), "--json"]) == 0
+    reports = [json.loads(out), json.loads(capsys.readouterr().out)]
+    for report in reports:
+        del report["timings"]
+    assert reports[0] == reports[1] and reports[0]["witness"] == [1, 0, 0, 0, 1]
 
 
 def test_usage_errors_exit_64(capsys):
