@@ -3,13 +3,14 @@
 Complete whenever the set contains at most one invertible matrix or no
 singular one.  Each member's integer form and determinant
 (`linalg.int_form`) are taken once per `Instance`, as `Instance.forms`, or
-set from the entries by `Instance.from_int_rows` when all are ints, and
-`decide`, the oracle's `search` and `verify_witness` share them.  The two
-checkers, `search` and `verify_witness`, run on `linalg` alone, no code of
-the pair engine `pairs`.  Every check below runs on the forms; `decide`
-reads the `Mat2` members only for a pair that reaches `decide_pair`, so an
-instance from `from_int_rows` whose pairs all fail the orbit sieve is
-decided without a `Mat2` ever being built:
+set when the instance is made: from the entries by `Instance.from_int_rows`
+when all are ints, and from its integer draws by the oracle's
+`random_instance`.  `decide`, the oracle's `search` and `verify_witness`
+share them.  The two checkers, `search` and `verify_witness`, run on
+`linalg` alone, no code of the pair engine `pairs`.  Every check below runs
+on the forms; `decide` reads the `Mat2` members only for a pair that reaches
+`decide_pair`, so an instance from `from_int_rows` whose pairs all fail the
+orbit sieve is decided without a `Mat2` ever being built:
 
 * a zero member (integer form `ZERO`) is an immediate length-1 witness;
 * with no singular member every product is invertible: Immortal, whatever
@@ -101,11 +102,12 @@ class Instance:
 
     Duplicates are retained so witness words can name input positions
     unambiguously.  `forms`, each member's `int_form`, is taken on first use
-    and kept, or set at once by `from_int_rows`; it takes no part in
-    equality, hashing or `repr`.  An instance from `from_int_rows` builds
-    its `matrices` on first read; `==`, `hash`, `repr`, `copy` and pickling
-    read them, so they behave as for `from_rows`, and `decide` reads them
-    only for a pair that reaches `decide_pair`.
+    and kept, or set at once by `from_int_rows` and the oracle's
+    `random_instance`; it takes no part in equality, hashing or `repr`.  An
+    instance from `from_int_rows` builds its `matrices` on first read; `==`,
+    `hash`, `repr`, `copy` and pickling read them, so they behave as for
+    `from_rows`, and `decide` reads them only for a pair that reaches
+    `decide_pair`.
     """
 
     matrices: tuple[Mat2, ...] = _MatricesFromForms()  # type: ignore[assignment]
@@ -140,8 +142,21 @@ class Instance:
         for a, b, c, d in ints:
             if not type(a) is type(b) is type(c) is type(d) is int:
                 raise TypeError("from_int_rows takes int entries only")
+        return cls._from_forms(tuple((a, a[0] * a[3] - a[1] * a[2]) for a in ints))
+
+    @classmethod
+    def _from_forms(cls, forms: tuple[IntForm, ...], matrices: Optional[tuple[Mat2, ...]] = None) -> Instance:
+        """An instance with `forms` set at once, unchecked: each must be the
+        `int_form` of its member, and there must be at least one.  Without
+        `matrices` the forms are the entries themselves, and `matrices` is
+        built on first read.  The loader `from_int_rows` and the oracle's
+        `random_instance` make their instances here."""
         instance = cls.__new__(cls)
-        instance.__dict__["forms"] = tuple((a, a[0] * a[3] - a[1] * a[2]) for a in ints)
+        # set as `__post_init__` sets `matrices`: on CPython 3.11 a read of
+        # `__dict__` gives the instance a dict object of its own, 64 bytes more
+        if matrices is not None:
+            object.__setattr__(instance, "matrices", matrices)
+        object.__setattr__(instance, "forms", forms)
         return instance
 
     @cached_property

@@ -19,6 +19,10 @@ products from `linalg` alone and run no code of the pair engine `pairs`.
 `fuzz_compare` cross-validates `decide` against them on seeded random
 instances and reports any disagreement.  It is the measuring stick for the
 decision engine, never the authority for immortality.
+
+`random_instance` takes each entry as a shared `Fraction` from one bounded,
+process-wide table keyed by its unreduced draw, and returns the instance
+with its integer forms already set from the entries' reduced integers.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ import time
 from collections import deque
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 from typing import Callable, Optional
 
 from .decider import Immortal, Instance, Mortal, Unknown, Word, decide, verify_witness
@@ -131,6 +137,35 @@ def _random_rats(getrandbits: Callable[[int], int], top: int, den: int) -> tuple
             _below(getrandbits, span) - top, _below(getrandbits, den) + 1)
 
 
+# The most entries `_entry` keeps.  The default range can draw 78 keys and
+# `EntryRange(7, 5)` 714 (an invertible member's (a, b) is among the (a e, b f)),
+# so under either every entry is one shared `Fraction` for the life of the
+# process; a wider range evicts the least recently drawn.  Full of
+# `EntryRange(1000, 1000)` keys, the table held about 400 bytes per entry
+# (tracemalloc, Python 3.11).
+ENTRY_TABLE_SIZE = 2048
+
+
+@lru_cache(maxsize=ENTRY_TABLE_SIZE)
+def _entry(numerator: int, denominator: int) -> tuple[Fraction, int, int]:
+    """`Fraction(numerator, denominator)` with its reduced numerator and
+    denominator, one shared value per unreduced draw."""
+    x = Fraction(numerator, denominator)
+    return x, x.numerator, x.denominator
+
+
+def _member(n0: int, d0: int, n1: int, d1: int, n2: int, d2: int, n3: int, d3: int) -> tuple[Mat2, IntMat]:
+    """The member with entries n0/d0, n1/d1, n2/d2 and n3/d3, row-major,
+    each from `_entry`, and its `to_int_mat`: each reduced numerator times
+    the lcm of the reduced denominators over its own."""
+    x0, p0, q0 = _entry(n0, d0)
+    x1, p1, q1 = _entry(n1, d1)
+    x2, p2, q2 = _entry(n2, d2)
+    x3, p3, q3 = _entry(n3, d3)
+    t = lcm(q0, q1, q2, q3)
+    return Mat2(x0, x1, x2, x3), (p0 * (t // q0), p1 * (t // q1), p2 * (t // q2), p3 * (t // q3))
+
+
 def random_instance(
     rng: random.Random,
     entry_range: EntryRange = EntryRange(),
@@ -150,6 +185,13 @@ def random_instance(
     integers equals `randint`'s draw and is taken by `_below` straight from
     `rng.getrandbits`, so the sequence rests on the Mersenne Twister's
     `getrandbits` alone.
+
+    Each entry, a e / (b f) and so on for a singular member and a/b and so
+    on for the invertible one, is the shared `Fraction` that `_entry` keeps
+    for its unreduced draw.  The instance is returned with its `forms` set,
+    each its member's `int_form`, built by `_member` from the entries'
+    reduced integers; a singular member's determinant is 0, as for any
+    outer product.
     """
     _int_at_least("max_singulars", max_singulars, 1)
     if not 0 <= invertible_probability <= 1:  # NaN fails too
@@ -159,18 +201,22 @@ def random_instance(
         raise ValueError("an invertible member needs max_numerator >= 1")
     getrandbits = rng.getrandbits
     mats = []
+    forms = []
     for _ in range(_below(getrandbits, max_singulars) + 1):
         a, b, c, d, e, f, g, h = _random_rats(getrandbits, top, den)
-        mats.append(Mat2(Fraction(a * e, b * f), Fraction(a * g, b * h),
-                         Fraction(c * e, d * f), Fraction(c * g, d * h)))
+        m, form = _member(a * e, b * f, a * g, b * h, c * e, d * f, c * g, d * h)
+        mats.append(m)
+        forms.append((form, 0))
     if rng.random() < invertible_probability:
         while True:
             a, b, c, d, e, f, g, h = _random_rats(getrandbits, top, den)
             if a * g * d * f != c * e * b * h:  # the determinant, times b d f h > 0, is nonzero
                 break
-        m = Mat2(Fraction(a, b), Fraction(c, d), Fraction(e, f), Fraction(g, h))
-        mats.insert(_below(getrandbits, len(mats) + 1), m)
-    return Instance(tuple(mats))
+        m, form = _member(a, b, c, d, e, f, g, h)
+        index = _below(getrandbits, len(mats) + 1)
+        mats.insert(index, m)
+        forms.insert(index, (form, form[0] * form[3] - form[1] * form[2]))
+    return Instance._from_forms(tuple(forms), tuple(mats))
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import pickle
 import random
 import sys
 from collections import deque
@@ -352,6 +353,100 @@ def test_random_instance_draws_are_pinned(kind):
         pairs = [(e.numerator, e.denominator) for m in instance.matrices for e in m.entries()]
         digest.update(repr(pairs).encode())
     assert digest.hexdigest() == expected
+
+
+# every pinned parameterisation, and a range whose entry values outnumber the
+# entry table, so that drawing from it evicts
+DRAW_KWARGS = {**{kind: kwargs for kind, (kwargs, _) in DRAW_DIGESTS.items()},
+               "entry1000x1000": {"entry_range": EntryRange(1000, 1000)}}
+
+
+def _reference_instance(rng, entry_range=EntryRange(), max_singulars=4, invertible_probability=0.5):
+    """`random_instance` as written with `randint` and a fresh `Fraction` per
+    entry, its forms left to `Instance.forms`."""
+    top, den = entry_range.max_numerator, entry_range.max_denominator
+
+    def rats():
+        return [v for _ in range(4) for v in (rng.randint(-top, top), rng.randint(1, den))]
+
+    mats = []
+    for _ in range(rng.randint(1, max_singulars)):
+        a, b, c, d, e, f, g, h = rats()
+        mats.append(Mat2(Fraction(a * e, b * f), Fraction(a * g, b * h),
+                         Fraction(c * e, d * f), Fraction(c * g, d * h)))
+    if rng.random() < invertible_probability:
+        while True:
+            a, b, c, d, e, f, g, h = rats()
+            m = Mat2(Fraction(a, b), Fraction(c, d), Fraction(e, f), Fraction(g, h))
+            if m.det() != 0:
+                break
+        mats.insert(rng.randint(0, len(mats)), m)
+    return Instance(tuple(mats))
+
+
+@pytest.mark.parametrize("kind", DRAW_KWARGS)
+def test_random_instance_returns_its_forms_set(kind):
+    # set at the draw from the entries' reduced integers, each the member's
+    # int_form; in every other way the instance behaves as `Instance(matrices)`
+    kwargs, rng, ref = DRAW_KWARGS[kind], random.Random(kind), random.Random(kind)
+    for _ in range(300):
+        inst = random_instance(rng, **kwargs)
+        assert "forms" in vars(inst)
+        fresh = Instance(inst.matrices)
+        assert inst.forms == tuple(int_form(m) for m in inst.matrices) == fresh.forms
+        assert inst == fresh and fresh == inst and hash(inst) == hash(fresh)
+        assert repr(inst) == repr(fresh)
+        loaded = pickle.loads(pickle.dumps(inst))
+        assert loaded == fresh and repr(loaded) == repr(fresh) and loaded.forms == inst.forms
+        # the same draws as a fresh Fraction per entry, entry for entry
+        expected = _reference_instance(ref, **kwargs)
+        assert inst == expected and repr(inst) == repr(expected)
+        assert all(type(e) is Fraction for m in inst.matrices for e in m.entries())
+    assert rng.getstate() == ref.getstate()
+
+
+def test_entry_table_stays_within_its_bound():
+    # 2,000 draws from EntryRange(1000, 1000) take far more entry values than
+    # the table holds, so it evicts; every entry it hands out is the Fraction
+    # of its draw, with that Fraction's reduced numerator and denominator
+    drawn, table = [], oracle._entry
+
+    def recording(numerator, denominator):
+        entry = table(numerator, denominator)
+        drawn.append(((numerator, denominator), entry))
+        return entry
+
+    before = table.cache_info()
+    rng = random.Random(1000)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_entry", recording)
+        for _ in range(2000):
+            random_instance(rng, EntryRange(1000, 1000))
+    info = table.cache_info()
+    assert info.maxsize == oracle.ENTRY_TABLE_SIZE
+    assert info.currsize <= oracle.ENTRY_TABLE_SIZE
+    assert info.misses - before.misses > 2 * oracle.ENTRY_TABLE_SIZE
+    assert len({key for key, _ in drawn}) > 2 * oracle.ENTRY_TABLE_SIZE
+    for (numerator, denominator), (x, p, q) in drawn:
+        fresh = Fraction(numerator, denominator)
+        assert type(x) is Fraction and x == fresh and (p, q) == (fresh.numerator, fresh.denominator)
+
+
+def test_entries_of_one_draw_are_shared_across_calls():
+    # under the default range every entry value is kept: an entry drawn again,
+    # by another call, is the same object, so a pool of instances holds at
+    # most one Fraction per unreduced draw (a e, b f) or (a, b), of which
+    # there are 78
+    first = random_instance(random.Random(5))
+    again = random_instance(random.Random(5))
+    assert first == again and first.matrices[0] is not again.matrices[0]
+    for m, n in zip(first.matrices, again.matrices):
+        assert all(x is y for x, y in zip(m.entries(), n.entries()))
+    rng = random.Random(6)
+    pool = [random_instance(rng) for _ in range(2000)]
+    entries = [e for inst in pool for m in inst.matrices for e in m.entries()]
+    assert len(entries) > 10_000
+    assert len({id(e) for e in entries}) <= 78
 
 
 @pytest.mark.parametrize(
