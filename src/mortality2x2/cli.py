@@ -16,10 +16,12 @@ when that refuses the list (a non-int entry, or a member not two rows of
 two) is the same document read again entry by entry, into `Mat2`s or to a
 message naming the first bad member or entry.  Reports are printed as JSON
 with --json, exactly as `json.dumps(report, indent=2)` writes them, and are
-byte-stable for identical inputs apart from the timings block.  `decide
---json` fills one template (`_decide_json`), and an i V^k j witness word is
-written with one string repeat, so the CLI's share of a `decide` op does not
-grow with the witness exponent.
+byte-stable for identical inputs apart from the timings block.  `oracle` and
+`fuzz` print json.dumps itself; `decide --json` fills one template
+(`_decide_json`) and text `decide` reads the verdict, both writing an i V^k j
+witness word, as its exponent witness names it, with one string repeat
+(`_witness_text`), so the CLI's share of a `decide` op does not grow with the
+witness exponent.
 
 Each subcommand's arguments are stated once, in `_COMMANDS`: `build_parser`
 makes argparse's parser of it, and `main` matches argv token by token
@@ -44,7 +46,6 @@ import sys
 import time
 import traceback
 from fractions import Fraction
-from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
@@ -163,83 +164,30 @@ def load_instance(path: str) -> Instance:
     return Instance(tuple(members))
 
 
-def _verdict_report(verdict: Verdict, timings: dict) -> dict:
-    mortal = isinstance(verdict, Mortal)
-    exponent = verdict.exponent_witness if mortal else None
-    report = {
-        "verdict": _VERDICTS[type(verdict)][0],
-        "witness": verdict.witness if mortal else None,
-        "exponent_witnesses": [exponent] if exponent is not None else None,
-        "certificate": verdict.certificate,
-    }
-    if isinstance(verdict, Unknown):
-        report["search_bound"] = verdict.search_bound
-    report["timings"] = timings
-    return report
-
-
-def _join_runs(word: Sequence[int], sep: str) -> str:
-    """sep.join(map(str, word)) for a word of ints, in a fixed number of
-    Python steps for an i V^k j word and one per run of equal indices for
-    any other.
-
-    A word of n >= 3 indices whose second differs from its first and last
-    and occurs n - 2 times is its first, then the second n - 2 times, then
-    its last: one C-speed `count` tells, and one string repeat writes it.
-    """
-    n = len(word)
-    if n >= 3:
-        v = word[1]
-        if v != word[0] and v != word[-1] and word.count(v) == n - 2:
-            return f"{word[0]}{sep}{(str(v) + sep) * (n - 2)}{word[-1]}"
-    return "".join((sep + str(i)) * len(list(run)) for i, run in groupby(word))[len(sep):]
-
-
-def _json_text(value: object, indent: str = "") -> str:
-    """Exactly json.dumps(value, indent=2) for a report whose dict keys are
-    strings and whose tuples hold only ints.
-
-    A tuple is a word, such as a witness word or an exponent witness, and is
-    written run by run, with no look at each index's type.  Strings (with
-    `encode_basestring_ascii`, json.dumps's own escaper), exact ints and
-    None are written directly; lists and dicts element by element; anything
-    else, floats and booleans among them, by json.dumps.  The pure-Python
-    indenting encoder is never run.
-    """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if type(value) is int:
-        return str(value)
-    if value is None:
-        return "null"
-    if not value or not isinstance(value, (dict, list, tuple)):
-        return json.dumps(value)
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(value, dict):
-        body = sep.join(encode_basestring_ascii(key) + ": " + _json_text(item, inner) for key, item in value.items())
-        return "{\n" + inner + body + "\n" + indent + "}"
-    if isinstance(value, tuple):
-        body = _join_runs(value, sep)
-    else:
-        body = sep.join(_json_text(item, inner) for item in value)
-    return "[\n" + inner + body + "\n" + indent + "]"
+def _witness_text(verdict: Mortal, sep: str) -> str:
+    """sep.join(map(str, verdict.witness)); an i V^k j word, as its exponent
+    witness (i, k, j) names it (see `Mortal`), with one string repeat."""
+    word = verdict.witness
+    if verdict.exponent_witness is None:
+        return sep.join(map(str, word))
+    i, k, j = verdict.exponent_witness
+    return f"{i}{sep}{(str(word[1]) + sep) * k}{j}"
 
 
 def _decide_json(verdict: Verdict, parse_ms: float, decide_ms: float) -> str:
-    """Exactly `_json_text(_verdict_report(verdict, timings))` with the
-    timings {"parse_ms": parse_ms, "decide_ms": decide_ms}, for any verdict
-    of `decide` (a Mortal witness is never empty): one template in the
-    report's key order, with no walk of the report.
+    """The `decide --json` report of a verdict of `decide` and its two
+    timings, exactly as `json.dumps(report, indent=2)` writes it, from one
+    template: this is the one place that states the report's fields and
+    their order.
 
     Strings are escaped by `encode_basestring_ascii`, ints written by
-    `str`, the witness word by `_join_runs`, and the timings, finite floats,
-    by `float.__repr__`, as json.dumps writes them.
+    `str`, the witness word by `_witness_text`, and the timings, finite
+    floats, by `float.__repr__`, as json.dumps writes them.
     """
     witness = exponent_witnesses = "null"
     search_bound = ""
     if isinstance(verdict, Mortal):
-        witness = "[\n    " + _join_runs(verdict.witness, ",\n    ") + "\n  ]"
+        witness = "[\n    " + _witness_text(verdict, ",\n    ") + "\n  ]"
         if verdict.exponent_witness is not None:
             i, k, j = verdict.exponent_witness
             exponent_witnesses = f"[\n    [\n      {i},\n      {k},\n      {j}\n    ]\n  ]"
@@ -253,15 +201,15 @@ def _decide_json(verdict: Verdict, parse_ms: float, decide_ms: float) -> str:
     )
 
 
-def _print_text(report: dict) -> None:
-    """The human-readable form of a `_verdict_report`."""
-    print(f"verdict: {report['verdict']}")
-    if report.get("witness") is not None:
-        print(f"witness word: {_join_runs(report['witness'], ' ')}")
-    if report.get("exponent_witnesses"):
-        for i, k, j in report["exponent_witnesses"]:
+def _print_text(verdict: Verdict) -> None:
+    """The human-readable report of a verdict of `decide`."""
+    print(f"verdict: {_VERDICTS[type(verdict)][0]}")
+    if isinstance(verdict, Mortal):
+        print(f"witness word: {_witness_text(verdict, ' ')}")
+        if verdict.exponent_witness is not None:
+            i, k, j = verdict.exponent_witness
             print(f"exponent witness: left={i} exponent={k} right={j}")
-    print(f"certificate: {report['certificate']}")
+    print(f"certificate: {verdict.certificate}")
 
 
 def cmd_decide(args: argparse.Namespace) -> int:
@@ -274,7 +222,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
     if args.json:
         print(_decide_json(verdict, parse_ms, decide_ms))
     else:
-        _print_text(_verdict_report(verdict, {"parse_ms": parse_ms, "decide_ms": decide_ms}))
+        _print_text(verdict)
     return _VERDICTS[type(verdict)][1]
 
 
@@ -300,12 +248,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             "max_len": args.max_len,
             "timings": elapsed,
         }
-        print(_json_text(report))
+        print(json.dumps(report, indent=2))
     else:
         if word is None:
             print(f"no zero product of length <= {args.max_len}")
         else:
-            print(f"witness word: {_join_runs(word, ' ')}")
+            print(f"witness word: {' '.join(map(str, word))}")
     return EXIT_OK if word is not None else EXIT_FAIL
 
 
@@ -317,9 +265,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         bound=args.oracle_bound,
         entry_range=entry_range,
     )
-    doc = report.as_dict()
     if args.json:
-        print(_json_text(doc))
+        print(json.dumps(report.as_dict(), indent=2))
     else:
         print(
             f"{report.count} instances: {report.mortal} mortal, "

@@ -174,7 +174,13 @@ class Instance:
 
 @dataclass(frozen=True)
 class Mortal:
-    """Some product of members is exactly zero; `witness` spells one out."""
+    """Some product of members is exactly zero; `witness` spells one out.
+
+    `exponent_witness` (i, k, j), set only on a pair-exponent verdict, names
+    the witness word exactly: it is (i,) + (v,) * k + (j,), v the index of
+    the sole invertible member, so i, j for k = 0.  The CLI writes such a
+    word from this triple and its second index alone.
+    """
 
     witness: Word
     certificate: str

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from mortality2x2 import Immortal, Instance, InternalError, Mat2, Mortal, Unknown, cli, decide, linalg
 from mortality2x2.cli import main
 from mortality2x2.linalg import int_form
-from mortality2x2.oracle import FuzzReport
+from mortality2x2.oracle import EntryRange, random_instance
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -173,58 +173,64 @@ def test_decide_json_text_is_golden(tmp_path, capsys, doc, golden):
     assert out == golden
 
 
-TIMINGS = {"parse_ms": 0.123, "decide_ms": 45.0}
-WORDS = {
-    "one": [3],
-    "two-runs": [0, 0, 1],
-    "planted": [0] + [1] * 4998 + [0],
-    "alternating": [0, 1] * 2500,
-    "random": [random.Random(0).randrange(4) for _ in range(5000)],
-    # near misses of the one-repeat shape i, v x (n - 2), j, and one hit
-    "first-is-middle": [1, 1, 1],
-    "last-is-middle": [0, 1, 1, 1, 1],
-    "count-off-by-one": [0, 1, 2, 1, 0],
-    "one-repeat": [0, 1, 0],
-    "pair": [3, 3],
-    "middle-twice-between": [2, 1, 1, 2, 1, 2],
-    # the count fits, but an end is the middle index
-    "first-is-middle-count-fits": [1, 1, 2, 0],
-    "last-is-middle-count-fits": [0, 1, 2, 1],
+@pytest.mark.parametrize(
+    "doc, code, golden",
+    [
+        (PLANTED, 0, "verdict: mortal\nwitness word: 0 1 1 1 0\nexponent witness: left=0 exponent=3 right=0\n"
+                     "certificate: pair-exponent\n"),
+        (ZERO, 0, "verdict: mortal\nwitness word: 0\ncertificate: zero-member\n"),
+        (IMMORTAL, 1, "verdict: immortal\ncertificate: all-pairs-refused\n"),
+        (OUT_OF_SCOPE, 2, "verdict: unknown\ncertificate: multiple-invertible-out-of-scope\n"),
+    ],
+    ids=["planted", "zero", "immortal", "unknown"],
+)
+def test_decide_text_is_golden(tmp_path, capsys, doc, code, golden):
+    # the exact bytes of the human-readable report on each verdict shape
+    assert main(["decide", write(tmp_path, doc), "--oracle-bound", "5"]) == code
+    assert capsys.readouterr() == (golden, "")
+
+
+ORACLE_FOUND_REPORT = """{
+  "found": true,
+  "witness": [
+    0,
+    1,
+    1,
+    1,
+    0
+  ],
+  "max_len": 5,
+  "timings": {
+    "search_ms": 0
+  }
 }
-REPORTS = {
-    "pair-exponent": cli._verdict_report(Mortal((0, 1, 1, 1, 0), "pair-exponent", (0, 3, 0)), TIMINGS),
-    "zero-member": cli._verdict_report(Mortal((0,), "zero-member"), TIMINGS),
-    "two-step": cli._verdict_report(Mortal((1, 0), "two-step-product"), TIMINGS),
-    "bounded-search": cli._verdict_report(Mortal((2, 0, 1, 2), "bounded-search"), TIMINGS),
-    "immortal": cli._verdict_report(Immortal("all-pairs-refused"), TIMINGS),
-    "unknown": cli._verdict_report(Unknown(5), TIMINGS),
-    "fuzz-clean": FuzzReport(count=3, seed=1, bound=8, mortal=2, immortal=1, decide_seconds=0.0123).as_dict(),
-    "fuzz-failing": FuzzReport(count=9, seed=0, bound=8, witness_failures=2, failing_seeds=[4, 4, 7]).as_dict(),
-    "oracle-found": {"found": True, "witness": [0, 1, 1, 1, 0], "max_len": 8, "timings": {"search_ms": 1.5}},
-    "oracle-not-found": {"found": False, "witness": None, "max_len": 4, "timings": {"search_ms": 0.25}},
-    "empty-list": [],
-    "empty-dict": {},
-    "empty-members": {"a": [], "b": {}, "c": [[], {}]},
-    **{f"word-{name}": {"witness": word, "exponent_witnesses": [[0, len(word), 0]]} for name, word in WORDS.items()},
-    **{
-        f"tuple-word-{name}": {"witness": tuple(word), "exponent_witnesses": [(0, len(word), 0)]}
-        for name, word in WORDS.items()
-    },
-    "tuple-in-list": [(0,), (1, 1, 2), [], (-7, 0, 10**30)],
+"""
+ORACLE_NOT_FOUND_REPORT = """{
+  "found": false,
+  "witness": null,
+  "max_len": 4,
+  "timings": {
+    "search_ms": 0
+  }
 }
+"""
 
 
-@pytest.mark.parametrize("report", REPORTS.values(), ids=REPORTS.keys())
-def test_json_text_is_json_dumps_indent_2(report):
-    assert cli._json_text(report) == json.dumps(report, indent=2)
-
-
-WORDS_AND_TUPLES = {**WORDS, **{f"tuple-{name}": tuple(word) for name, word in WORDS.items()}}
-
-
-@pytest.mark.parametrize("word", WORDS_AND_TUPLES.values(), ids=WORDS_AND_TUPLES.keys())
-def test_word_runs_join_like_str_join(word):
-    assert cli._join_runs(word, " ") == " ".join(map(str, word))
+@pytest.mark.parametrize(
+    "argv, code, golden",
+    [
+        (["--max-len", "5", "--json"], 0, ORACLE_FOUND_REPORT),
+        (["--max-len", "4", "--json"], 1, ORACLE_NOT_FOUND_REPORT),
+        (["--max-len", "5"], 0, "witness word: 0 1 1 1 0\n"),
+        (["--max-len", "4"], 1, "no zero product of length <= 4\n"),
+    ],
+    ids=["found-json", "not-found-json", "found-text", "not-found-text"],
+)
+def test_oracle_output_is_golden(tmp_path, capsys, argv, code, golden):
+    # the exact bytes, key order included, with only the timing value zeroed
+    assert main(["oracle", write(tmp_path, PLANTED), *argv]) == code
+    out, err = capsys.readouterr()
+    assert (re.sub(r'("search_ms": )[^\n]+', r"\g<1>0", out), err) == (golden, "")
 
 
 def _pair_exponent(i, k, j):
@@ -245,6 +251,24 @@ DECIDE_VERDICTS = {
     "unknown": Unknown(5),
 }
 DECIDE_TIMINGS = [0.0, 1e-05, 123456.789, 0.1]
+# the witness word's separator in the text report and in the JSON template
+WORD_SEPS = [" ", ",\n    "]
+
+
+def _report(verdict, timings):
+    """The `decide --json` report of a verdict, as a dict in its key order."""
+    mortal = isinstance(verdict, Mortal)
+    exponent = verdict.exponent_witness if mortal else None
+    report = {
+        "verdict": type(verdict).__name__.lower(),
+        "witness": verdict.witness if mortal else None,
+        "exponent_witnesses": [exponent] if exponent is not None else None,
+        "certificate": verdict.certificate,
+    }
+    if isinstance(verdict, Unknown):
+        report["search_bound"] = verdict.search_bound
+    report["timings"] = timings
+    return report
 
 
 @pytest.mark.parametrize("verdict", DECIDE_VERDICTS.values(), ids=DECIDE_VERDICTS.keys())
@@ -252,8 +276,100 @@ DECIDE_TIMINGS = [0.0, 1e-05, 123456.789, 0.1]
 def test_decide_json_is_json_dumps_of_the_report(verdict, t):
     # each timing value is written both as parse_ms and as decide_ms
     parse_ms, decide_ms = DECIDE_TIMINGS[t], DECIDE_TIMINGS[t - 1]
-    report = cli._verdict_report(verdict, {"parse_ms": parse_ms, "decide_ms": decide_ms})
+    report = _report(verdict, {"parse_ms": parse_ms, "decide_ms": decide_ms})
     assert cli._decide_json(verdict, parse_ms, decide_ms) == json.dumps(report, indent=2)
+
+
+@pytest.mark.parametrize("sep", WORD_SEPS, ids=["text", "json"])
+@pytest.mark.parametrize(
+    "verdict",
+    [v for v in DECIDE_VERDICTS.values() if isinstance(v, Mortal)],
+    ids=[name for name, v in DECIDE_VERDICTS.items() if isinstance(v, Mortal)],
+)
+def test_witness_text_is_str_join(verdict, sep):
+    # every exponent witness (i, k, j) here has invertible index v = 1
+    if verdict.exponent_witness is not None:
+        i, k, j = verdict.exponent_witness
+        assert verdict.witness == (i,) + (1,) * k + (j,)
+    assert cli._witness_text(verdict, sep) == sep.join(map(str, verdict.witness))
+
+
+WORDS = {
+    "one": [3],
+    "two-runs": [0, 0, 1],
+    "planted": [0] + [1] * 4998 + [0],
+    "alternating": [0, 1] * 2500,
+    "random": [random.Random(0).randrange(4) for _ in range(5000)],
+    # near misses of the one-repeat shape i, v x (n - 2), j, and two hits
+    "first-is-middle": [1, 1, 1],
+    "last-is-middle": [0, 1, 1, 1, 1],
+    "count-off-by-one": [0, 1, 2, 1, 0],
+    "one-repeat": [0, 1, 0],
+    "pair": [3, 3],
+    "middle-twice-between": [2, 1, 1, 2, 1, 2],
+    # the count fits, but an end is the middle index
+    "first-is-middle-count-fits": [1, 1, 2, 0],
+    "last-is-middle-count-fits": [0, 1, 2, 1],
+}
+WORDS_AND_TUPLES = {**WORDS, **{f"tuple-{name}": tuple(word) for name, word in WORDS.items()}}
+
+
+def _exponent_witness(word):
+    """(i, k, j) if the word is i, then k >= 0 of one index v not i or j,
+    then j, as a pair-exponent witness is; None for any other word."""
+    middle = set(word[1:-1])
+    if len(word) < 2 or len(middle) > 1 or middle & {word[0], word[-1]}:
+        return None
+    return (word[0], len(word) - 2, word[-1])
+
+
+@pytest.mark.parametrize("word", WORDS_AND_TUPLES.values(), ids=WORDS_AND_TUPLES.keys())
+def test_word_runs_join_like_str_join(word):
+    # a Mortal carries an exponent witness exactly when its word has the
+    # i V^k j shape; either way the writer spells the word out
+    verdict = Mortal(word, "test", _exponent_witness(word))
+    for sep in WORD_SEPS:
+        assert cli._witness_text(verdict, sep) == sep.join(map(str, word))
+
+
+def test_word_runs_cover_both_writer_paths():
+    shapes = [_exponent_witness(word) is None for word in WORDS.values()]
+    assert True in shapes and False in shapes
+
+
+def _one_invertible_instances():
+    """The seed 1-3 pools of deep_exponent and wide_pairs, drawn as
+    perfbench/run.py draws them, then 2,000 one-invertible fuzz draws with
+    up to 12 singular members at each of seeds 0 and 1, under the default
+    entry range and under EntryRange(7, 5)."""
+    for seed in (1, 2, 3):
+        for case in instances.deep_pool(seed, 26) + instances.wide_pool(seed, 12, 13):
+            yield Instance.from_int_rows(case.matrices())
+    for entry_range in (EntryRange(), EntryRange(7, 5)):
+        for seed in (0, 1):
+            rng = random.Random(seed)
+            for _ in range(2000):
+                yield random_instance(rng, entry_range, max_singulars=12, invertible_probability=1.0)
+
+
+def test_witness_words_have_the_shape_their_exponent_witness_names():
+    # the contract `_witness_text` relies on: an exponent witness (i, k, j)
+    # names the word i V^k j, V the sole invertible member
+    shapes = {"k = 0": 0, "k >= 1": 0, "other": 0}
+    for instance in _one_invertible_instances():
+        verdict = decide(instance)
+        if not isinstance(verdict, Mortal):
+            continue
+        if verdict.exponent_witness is None:
+            shapes["other"] += 1
+        else:
+            (v,) = instance.invertible_indices
+            i, k, j = verdict.exponent_witness
+            assert verdict.witness == (i,) + (v,) * k + (j,)
+            shapes["k >= 1" if k else "k = 0"] += 1
+        for sep in WORD_SEPS:
+            assert cli._witness_text(verdict, sep) == sep.join(map(str, verdict.witness))
+    assert min(shapes.values()) > 0, shapes
 
 
 def test_decide_json_on_the_benchmark_pools_is_json_dumps(tmp_path, capsys):
@@ -268,19 +384,6 @@ def test_decide_json_on_the_benchmark_pools_is_json_dumps(tmp_path, capsys):
         report = json.loads(out)
         assert out == json.dumps(report, indent=2) + "\n"
         assert (code, report["verdict"], report["witness"]) == case.expected()
-
-
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda children: st.lists(children, max_size=6) | st.dictionaries(st.text(max_size=5), children, max_size=6),
-    max_leaves=40,
-)
-
-
-@given(json_values | st.lists(st.integers(-3, 3) | st.booleans()))
-@settings(max_examples=300)
-def test_json_text_matches_json_dumps_on_any_report_shape(value):
-    assert cli._json_text(value) == json.dumps(value, indent=2)
 
 
 # N = u w^T with u = (0, 1), w = (1, -2000) and the shear V = [[1, 1], [0, 1]]:
@@ -670,7 +773,7 @@ def test_integer_files_are_read_in_one_pass(tmp_path, capsys, monkeypatch, doc):
     report = json.loads(capsys.readouterr().out)
     assert calls == []
     verdict = decide(Instance.from_rows(doc["matrices"]), oracle_bound=5)
-    assert report == json.loads(json.dumps(cli._verdict_report(verdict, report["timings"])))
+    assert report == json.loads(json.dumps(_report(verdict, report["timings"])))
     assert code == {"mortal": 0, "immortal": 1, "unknown": 2}[report["verdict"]]
 
 
